@@ -1,7 +1,8 @@
 // End-to-end co-simulation benchmarks for the compiled core: the TUTMAC
-// case study run through the AST interpreter path and the bytecode path
-// (same engine, different EFSM backend), plus BatchRunner thread scaling
-// over one shared CompiledModel image. On a single-core container the
+// case study run through both non-native Simulation constructors (the
+// SystemView one lowers its own CompiledModel per run; the other shares a
+// prebuilt image), plus BatchRunner thread scaling over one shared
+// CompiledModel image. On a single-core container the
 // scaling shows up as CPU-per-scenario, not wall clock.
 #include <memory>
 #include <vector>
@@ -21,7 +22,8 @@ constexpr sim::Time kHorizon = 100'000'000;  // 100 ms of modelled time
 
 void print_header() {
   bench::banner("A7: compiled simulation core — TUTMAC end-to-end + batch");
-  std::cout << "(AST vs bytecode EFSM backend; batch over one shared image)\n";
+  std::cout << "(SystemView vs shared-image constructor; batch over one "
+               "shared image)\n";
 }
 
 tutmac::System& shared_system() {
@@ -33,8 +35,8 @@ tutmac::System& shared_system() {
   return sys;
 }
 
-// Baseline path: SystemView constructor, AST efsm::Instance per process.
-void BM_TutmacEndToEndAst(benchmark::State& state) {
+// SystemView constructor, CompiledModel built per run.
+void BM_TutmacEndToEndFromView(benchmark::State& state) {
   tutmac::System& sys = shared_system();
   const mapping::SystemView view(*sys.model);
   sim::Config config;
@@ -47,10 +49,11 @@ void BM_TutmacEndToEndAst(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_TutmacEndToEndAst)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TutmacEndToEndFromView)->Unit(benchmark::kMillisecond);
 
 // Compiled path: one shared CompiledModel, bytecode CompiledInstance per
-// process. Registered adjacent to the AST twin for interleaved A/B runs.
+// process. Registered adjacent to the SystemView twin for interleaved A/B
+// runs.
 void BM_TutmacEndToEndCompiled(benchmark::State& state) {
   tutmac::System& sys = shared_system();
   const mapping::SystemView view(*sys.model);

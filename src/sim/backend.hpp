@@ -1,19 +1,20 @@
 // tut::sim — pluggable process-behaviour backends.
 //
 // The simulator owns event routing, timing and logging; *how* one process
-// steps its state machine is a backend decision. Three executors exist: the
-// AST walker (efsm::Instance), the bytecode interpreter
-// (efsm::CompiledInstance) and, through this interface, out-of-line
-// executors such as codegen::NativeImage's dlopen'ed machine code. The
-// interface is deliberately the exact Instance/CompiledInstance step
-// surface — identical StepResults in, identical SimulationLogs out — so a
-// backend swap is observable only through wall-clock time and the
-// provenance fields (name + content hash) that batch and campaign runs
-// record. Resource envelopes (sim::ResourceProfile) are part of that
-// parity: caps live in the simulator layer (log, event queue), never in a
-// backend, so an envelope miss raises the same EnvelopeError — same tag,
-// same message, same sim time — under every executor, and in-envelope runs
-// stay byte-identical across backends.
+// steps its state machine is a backend decision. The simulator has two
+// executors: the bytecode interpreter (efsm::CompiledInstance, every
+// non-native Simulation) and, through this interface, out-of-line executors
+// such as codegen::NativeImage's dlopen'ed machine code. The AST walker
+// (efsm::Instance) is a test reference only. The interface is deliberately
+// the exact CompiledInstance step surface — identical StepResults in,
+// identical SimulationLogs out — so a backend swap is observable only
+// through wall-clock time and the provenance fields (name + content hash)
+// that batch and campaign runs record. Resource envelopes
+// (sim::ResourceProfile) are part of that parity: caps live in the
+// simulator layer (log, event queue), never in a backend, so an envelope
+// miss raises the same EnvelopeError — same tag, same message, same sim
+// time — under every executor, and in-envelope runs stay byte-identical
+// across backends.
 //
 // sim must not depend on codegen (codegen links sim), so the simulator only
 // sees these abstract classes; codegen::NativeImage implements them.
@@ -31,7 +32,7 @@ namespace tut::sim {
 class CompiledModel;
 
 /// Which executor a run steps its processes with. Interpreter is the
-/// bytecode interpreter (the default for image-based runs); Native is a
+/// bytecode interpreter (the default); Native is a
 /// generated-and-dlopen'ed BackendImage.
 enum class Backend { Interpreter, Native };
 

@@ -1,6 +1,8 @@
 #include "sim/log.hpp"
 
+#include <array>
 #include <charconv>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -13,21 +15,25 @@ void SimulationLog::run(Time t, std::string_view process, long cycles,
   run_id(t, names_.intern(process), cycles, duration);
 }
 
+// The string-based appends intern their names last first, so a log's name
+// table has one order whatever the compiler's argument evaluation order.
+
 void SimulationLog::send(Time t, std::string_view from, std::string_view to,
                          std::string_view signal, std::size_t bytes) {
-  send_id(t, names_.intern(from), names_.intern(to), names_.intern(signal),
-          bytes);
+  const intern::Id sig = names_.intern(signal), to_id = names_.intern(to);
+  send_id(t, names_.intern(from), to_id, sig, bytes);
 }
 
 void SimulationLog::receive(Time t, std::string_view process,
                             std::string_view from, std::string_view signal) {
-  receive_id(t, names_.intern(process), names_.intern(from),
-             names_.intern(signal));
+  const intern::Id sig = names_.intern(signal), from_id = names_.intern(from);
+  receive_id(t, names_.intern(process), from_id, sig);
 }
 
 void SimulationLog::drop(Time t, std::string_view process,
                          std::string_view signal) {
-  drop_id(t, names_.intern(process), names_.intern(signal));
+  const intern::Id sig = names_.intern(signal);
+  drop_id(t, names_.intern(process), sig);
 }
 
 void SimulationLog::fault(Time t, std::string_view component) {
@@ -40,7 +46,8 @@ void SimulationLog::fault_cleared(Time t, std::string_view component) {
 
 void SimulationLog::retry(Time t, std::string_view process,
                           std::string_view signal, long attempt) {
-  retry_id(t, names_.intern(process), names_.intern(signal), attempt);
+  const intern::Id sig = names_.intern(signal);
+  retry_id(t, names_.intern(process), sig, attempt);
 }
 
 void SimulationLog::watchdog_reset(Time t, std::string_view process) {
@@ -49,8 +56,8 @@ void SimulationLog::watchdog_reset(Time t, std::string_view process) {
 
 void SimulationLog::migrate(Time t, std::string_view process,
                             std::string_view from_pe, std::string_view to_pe) {
-  migrate_id(t, names_.intern(process), names_.intern(from_pe),
-             names_.intern(to_pe));
+  const intern::Id to = names_.intern(to_pe), from = names_.intern(from_pe);
+  migrate_id(t, names_.intern(process), from, to);
 }
 
 void SimulationLog::run_id(Time t, intern::Id process, long cycles,
@@ -323,67 +330,174 @@ void SimulationLog::render_body(std::string& out) const {
   }
 }
 
-SimulationLog SimulationLog::parse(const std::string& text) {
+namespace {
+
+/// Longest line excerpt quoted in a [log.line.malformed] message.
+constexpr std::size_t kExcerptBytes = 120;
+/// Kind plus the five operands of the widest record (S).
+constexpr std::size_t kMaxFields = 6;
+
+[[noreturn]] void malformed(std::size_t lineno, std::string_view line) {
+  std::string msg = "[log.line.malformed] malformed simulation log line " +
+                    std::to_string(lineno) + ": '";
+  msg.append(line.substr(0, kExcerptBytes));
+  if (line.size() > kExcerptBytes) msg += "...";
+  msg += '\'';
+  throw std::runtime_error(msg);
+}
+
+/// Splits `line` at runs of spaces and tabs. Returns the field count, or
+/// kMaxFields + 1 when the line has more fields than any record kind.
+std::size_t split_fields(std::string_view line,
+                         std::string_view (&fields)[kMaxFields]) {
+  std::size_t n = 0;
+  std::size_t i = 0;
+  const std::size_t size = line.size();
+  for (;;) {
+    while (i < size && (line[i] == ' ' || line[i] == '\t')) ++i;
+    if (i == size) return n;
+    std::size_t j = i;
+    while (j < size && line[j] != ' ' && line[j] != '\t') ++j;
+    if (n == kMaxFields) return kMaxFields + 1;
+    fields[n++] = line.substr(i, j - i);
+    i = j;
+  }
+}
+
+/// Decimal field that must consume the whole token. std::from_chars takes
+/// no '+' and, for unsigned N, no '-'; out-of-range values fail.
+template <typename N>
+bool parse_num(std::string_view field, N& out) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Fields (kind included) of each record kind; 0 for an unknown kind.
+std::size_t arity(char kind) {
+  switch (kind) {
+    case 'S':
+      return 6;
+    case 'R':
+    case 'V':
+    case 'T':
+    case 'M':
+      return 5;
+    case 'D':
+      return 4;
+    case 'F':
+    case 'C':
+    case 'W':
+      return 3;
+    default:
+      return 0;
+  }
+}
+
+}  // namespace
+
+SimulationLog SimulationLog::parse(std::string_view text) {
   SimulationLog log;
-  std::istringstream is(text);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string kind;
-    ls >> kind;
-    const auto bad = [&]() -> std::runtime_error {
-      return std::runtime_error("malformed simulation log line " +
-                                std::to_string(lineno) + ": '" + line + "'");
-    };
-    if (kind == "R") {
-      Time t = 0, d = 0;
-      std::string proc;
-      long cycles = 0;
-      if (!(ls >> t >> proc >> cycles >> d)) throw bad();
-      log.run(t, proc, cycles, d);
-    } else if (kind == "S") {
-      Time t = 0;
-      std::string from, to, sig;
-      std::size_t bytes = 0;
-      if (!(ls >> t >> from >> to >> sig >> bytes)) throw bad();
-      log.send(t, from, to, sig, bytes);
-    } else if (kind == "V") {
-      Time t = 0;
-      std::string proc, from, sig;
-      if (!(ls >> t >> proc >> from >> sig)) throw bad();
-      log.receive(t, proc, from, sig);
-    } else if (kind == "D") {
-      Time t = 0;
-      std::string proc, sig;
-      if (!(ls >> t >> proc >> sig)) throw bad();
-      log.drop(t, proc, sig);
-    } else if (kind == "F" || kind == "C" || kind == "W") {
-      Time t = 0;
-      std::string name;
-      if (!(ls >> t >> name)) throw bad();
-      if (kind == "F") {
-        log.fault(t, name);
-      } else if (kind == "C") {
-        log.fault_cleared(t, name);
-      } else {
-        log.watchdog_reset(t, name);
+  if (text.empty()) return log;
+  const char* pos = text.data();
+  const char* const end = pos + text.size();
+  const auto next_newline = [end](const char* from) {
+    return static_cast<const char*>(std::memchr(from, '\n', end - from));
+  };
+  // At most one record per line: size the record vector once.
+  std::size_t lines = 1;
+  for (const char* p = next_newline(pos); p != nullptr;
+       p = next_newline(p + 1)) {
+    ++lines;
+  }
+  log.compact_.reserve(lines);
+
+  // Every line repeats a handful of names. A direct-mapped cache of views
+  // into `text` answers most of them without the name table's hash lookup;
+  // only a miss interns, so the table order does not depend on the cache.
+  struct CachedName {
+    std::string_view name;
+    intern::Id id = intern::kNoId;
+  };
+  std::array<CachedName, 64> cache{};
+  const auto id = [&](std::string_view name) {
+    CachedName& c = cache[(name.size() * 31 +
+                           static_cast<unsigned char>(name.back())) %
+                          cache.size()];
+    if (c.id == intern::kNoId || c.name != name) {
+      c.name = name;
+      c.id = log.names_.intern(name);
+    }
+    return c.id;
+  };
+
+  std::string_view f[kMaxFields];
+  for (std::size_t lineno = 1; pos < end; ++lineno) {
+    const char* eol = next_newline(pos);
+    if (eol == nullptr) eol = end;
+    std::string_view line(pos, static_cast<std::size_t>(eol - pos));
+    pos = eol + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+
+    const std::size_t n = split_fields(line, f);
+    if (n == 0 || f[0][0] == '#') continue;  // blank line or comment
+    // A CR anywhere else would survive into a name and break the round trip.
+    if (f[0].size() != 1 || n != arity(f[0][0]) ||
+        line.find('\r') != std::string_view::npos) {
+      malformed(lineno, line);
+    }
+
+    // Names are interned last field first, like the string-based appends.
+    Time t = 0;
+    if (!parse_num(f[1], t)) malformed(lineno, line);
+    switch (f[0][0]) {
+      case 'R': {
+        long cycles = 0;
+        Time d = 0;
+        if (!parse_num(f[3], cycles) || !parse_num(f[4], d)) {
+          malformed(lineno, line);
+        }
+        log.run_id(t, id(f[2]), cycles, d);
+        break;
       }
-    } else if (kind == "T") {
-      Time t = 0;
-      std::string proc, sig;
-      long attempt = 0;
-      if (!(ls >> t >> proc >> sig >> attempt)) throw bad();
-      log.retry(t, proc, sig, attempt);
-    } else if (kind == "M") {
-      Time t = 0;
-      std::string proc, from, to;
-      if (!(ls >> t >> proc >> from >> to)) throw bad();
-      log.migrate(t, proc, from, to);
-    } else {
-      throw bad();
+      case 'S': {
+        std::size_t bytes = 0;
+        if (!parse_num(f[5], bytes)) malformed(lineno, line);
+        const intern::Id sig = id(f[4]), to = id(f[3]);
+        log.send_id(t, id(f[2]), to, sig, bytes);
+        break;
+      }
+      case 'V': {
+        const intern::Id sig = id(f[4]), from = id(f[3]);
+        log.receive_id(t, id(f[2]), from, sig);
+        break;
+      }
+      case 'D': {
+        const intern::Id sig = id(f[3]);
+        log.drop_id(t, id(f[2]), sig);
+        break;
+      }
+      case 'F':
+        log.fault_id(t, id(f[2]));
+        break;
+      case 'C':
+        log.clear_id(t, id(f[2]));
+        break;
+      case 'W':
+        log.watchdog_id(t, id(f[2]));
+        break;
+      case 'T': {
+        long attempt = 0;
+        if (!parse_num(f[4], attempt)) malformed(lineno, line);
+        const intern::Id sig = id(f[3]);
+        log.retry_id(t, id(f[2]), sig, attempt);
+        break;
+      }
+      case 'M': {
+        const intern::Id to = id(f[4]), from = id(f[3]);
+        log.migrate_id(t, id(f[2]), from, to);
+        break;
+      }
     }
   }
   return log;

@@ -157,8 +157,22 @@ class SimulationLog {
   /// render allocation-free after the first run.
   void to_text(std::string& out) const;
 
-  /// Parses a log-file. Throws std::runtime_error on malformed lines.
-  static SimulationLog parse(const std::string& text);
+  /// Parses a log-file in one pass over `text`. The grammar is what
+  /// to_text() emits, read leniently in three ways only: fields may be
+  /// separated by runs of spaces or tabs, a line may end in CR (CRLF
+  /// files), and blank lines and lines whose first field starts with '#'
+  /// are skipped. A record line is exactly one kind letter plus that kind's
+  /// fields; a name is any run of bytes other than space, tab, CR and LF.
+  /// <time>, <duration> and <bytes> are unsigned decimal; <cycles> and
+  /// <attempt> are signed decimal ('-' allowed: a Compute total can be
+  /// negative). Numbers take no '+' and must fit their field. Anything else
+  /// — an unknown or multi-character kind, a missing or extra field, a sign
+  /// or out-of-range value in a numeric field, a CR inside a line — throws
+  /// std::runtime_error("[log.line.malformed] malformed simulation log line
+  /// N: '<line, at most 120 bytes>'"). For text that to_text() rendered,
+  /// the records and the name-table order match the rendering log's, so
+  /// to_text() reproduces the text byte for byte.
+  static SimulationLog parse(std::string_view text);
 
  private:
   /// Envelope-checked append: every public append path funnels through

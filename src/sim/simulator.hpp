@@ -4,8 +4,11 @@
 // application processes is guided with the properties of the platform
 // components.").
 //
-// The simulator executes every application process as an EFSM instance on
-// the platform component instance its group is mapped to:
+// The simulator executes every application process on the platform
+// component instance its group is mapped to, stepping its EFSM through
+// bytecode (efsm::CompiledInstance over a CompiledModel) or, for a
+// BackendImage, an out-of-line executor. The AST efsm::Instance is a test
+// reference only.
 //  - Processing elements run one transition at a time (run-to-completion),
 //    picking the pending process with the highest priority. A transition's
 //    Compute cycles take cycles/frequency wall time.
@@ -36,6 +39,7 @@
 #include <vector>
 
 #include "efsm/machine.hpp"
+#include "efsm/program.hpp"
 #include "efsm/router.hpp"
 #include "mapping/mapping.hpp"
 #include "sim/fault.hpp"
@@ -85,20 +89,23 @@ struct SegmentStats {
 /// environment workload, run, then read the log / stats.
 class Simulation {
 public:
-  /// Builds the executable system. Throws std::runtime_error when the model
-  /// is not executable: a process is unmapped, its target instance is not
-  /// attached to any segment while remote communication is required, or a
-  /// functional component lacks a behaviour. All defects (including fault
-  /// plan defects: malformed windows, unknown component names) are collected
-  /// into one multi-line diagnostic so the model can be fixed in one pass.
+  /// Builds the executable system, lowering it to a private CompiledModel
+  /// (processes run as bytecode, exactly like the CompiledModel
+  /// constructor). Throws std::runtime_error when the model is not
+  /// executable: a process is unmapped, its target instance is not attached
+  /// to any segment while remote communication is required, or a functional
+  /// component lacks a behaviour. All defects (including fault plan
+  /// defects: malformed windows, unknown component names) are collected into
+  /// one multi-line diagnostic so the model can be fixed in one pass.
+  /// Malformed expression text throws efsm::ExprError, like
+  /// CompiledModel::build.
   explicit Simulation(const mapping::SystemView& sys, Config config = {});
 
   /// Builds a simulation over a pre-lowered model image (CompiledModel::
-  /// build). Processes execute as bytecode (efsm::CompiledInstance) instead
-  /// of AST interpretation; the SimulationLog is byte-identical to the
-  /// SystemView constructor's. The model may be shared read-only by any
-  /// number of concurrent Simulations (see sim::BatchRunner); each keeps it
-  /// alive through the shared_ptr.
+  /// build); the SimulationLog is byte-identical to the SystemView
+  /// constructor's. The model may be shared read-only by any number of
+  /// concurrent Simulations (see sim::BatchRunner); each keeps it alive
+  /// through the shared_ptr.
   explicit Simulation(std::shared_ptr<const CompiledModel> model,
                       Config config = {});
 
@@ -144,8 +151,10 @@ public:
   const SimulationLog& log() const noexcept { return log_; }
   const Config& config() const noexcept { return config_; }
 
-  /// EFSM instance of a process (for white-box assertions in tests).
-  const efsm::Instance& instance(const std::string& process) const;
+  /// Bytecode instance of a process (for white-box assertions in tests).
+  /// Throws std::out_of_range for an unknown process and std::logic_error
+  /// when the process runs on a BackendImage (native) executor.
+  const efsm::CompiledInstance& instance(const std::string& process) const;
 
   const std::map<std::string, PeStats>& pe_stats() const noexcept {
     return pe_stats_;

@@ -401,9 +401,9 @@ TEST(Watchdog, IdleProcessIsResetAndRestartsCleanly) {
   EXPECT_EQ(resets[0].time, 50'000u);
 
   // The reset re-entered the initial state.
-  const efsm::Instance& dsp2 = simulation->instance("dsp2");
-  ASSERT_NE(dsp2.state(), nullptr);
-  EXPECT_EQ(dsp2.state()->name(), "Idle");
+  const efsm::CompiledInstance& dsp2 = simulation->instance("dsp2");
+  ASSERT_TRUE(dsp2.started());
+  EXPECT_EQ(dsp2.state_name(), "Idle");
 }
 
 // ---------------------------------------------------------------------------

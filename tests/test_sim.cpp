@@ -147,6 +147,54 @@ TEST(SimLog, ParserRejectsMalformedLines) {
   EXPECT_THROW((void)SimulationLog::parse("X 1 2 3\n"), std::runtime_error);
   EXPECT_THROW((void)SimulationLog::parse("R 1 p\n"), std::runtime_error);
   EXPECT_THROW((void)SimulationLog::parse("S 1 a b\n"), std::runtime_error);
+
+  // One case per rejection class: the message carries the tag, the line
+  // number and the line.
+  const auto rejects = [](const std::string& line) {
+    try {
+      (void)SimulationLog::parse("# tut-simlog v1\n" + line + "\n");
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what()).rfind(
+                 "[log.line.malformed] malformed simulation log line 2: '",
+                 0) == 0;
+    }
+    return false;
+  };
+  EXPECT_TRUE(rejects("R -1 p 2 3"));                    // sign, unsigned
+  EXPECT_TRUE(rejects("R +1 p 2 3"));                    // '+' anywhere
+  EXPECT_TRUE(rejects("T 1 p s +2"));                    // '+', signed
+  EXPECT_TRUE(rejects("S 1 a b s -8"));                  // negative bytes
+  EXPECT_TRUE(rejects("R 18446744073709551616 p 2 3"));  // 2^64
+  EXPECT_TRUE(rejects("R 1 p 99999999999999999999 3"));  // past long
+  EXPECT_TRUE(rejects("R 1x p 2 3"));                    // partial number
+  EXPECT_TRUE(rejects("D 1 p"));                         // missing field
+  EXPECT_TRUE(rejects("R 1 p 2 3 extra"));               // extra field
+  EXPECT_TRUE(rejects("R -1 p 2 3 extra junk"));         // both
+  EXPECT_TRUE(rejects("RR 1 p 2 3"));                    // multi-char kind
+  EXPECT_TRUE(rejects("Q 1 p"));                         // unknown kind
+  EXPECT_TRUE(rejects("W 1 p\rq"));                      // CR inside a line
+
+  // The quoted excerpt is capped.
+  try {
+    (void)SimulationLog::parse("F 1 " + std::string(1000, 'x') + " y\n");
+    ADD_FAILURE() << "accepted an extra field";
+  } catch (const std::runtime_error& e) {
+    EXPECT_LT(std::string(e.what()).size(), 200u);
+  }
+}
+
+TEST(SimLog, ParserAcceptsCrlfAndTabs) {
+  const auto log = SimulationLog::parse(
+      "# tut-simlog v1\r\nR\t5  p \t-7\t3\r\n\r\n \t\r\nS 6 a b sig 4\r\n"
+      "F 7 bus");
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log.records()[0].process, "p");
+  EXPECT_EQ(log.records()[0].cycles, -7);  // signed field: to_text emits '-'
+  EXPECT_EQ(log.records()[1].signal, "sig");
+  EXPECT_EQ(log.records()[2].process, "bus");
+  EXPECT_EQ(log.to_text(),
+            "# tut-simlog v1\nR 5 p -7 3\nS 6 a b sig 4\nF 7 bus\n");
+  EXPECT_EQ(SimulationLog::parse(log.to_text()).to_text(), log.to_text());
 }
 
 // ---------------------------------------------------------------------------
@@ -347,8 +395,9 @@ TEST_F(SimFixture, RunCanBeResumedWithHigherHorizon) {
 TEST_F(SimFixture, InstanceInspection) {
   Simulation sim(view, {.horizon = 150'000});
   sim.run();
-  EXPECT_NO_THROW((void)sim.instance("dsp1"));
-  EXPECT_GT(sim.instance("dsp1").variable("n"), 0);
+  const efsm::CompiledInstance& dsp1 = sim.instance("dsp1");
+  EXPECT_TRUE(dsp1.started());
+  EXPECT_GT(dsp1.variable("n"), 0);
   EXPECT_THROW((void)sim.instance("nosuch"), std::out_of_range);
 }
 

@@ -1,13 +1,18 @@
 // Tests for the compiled simulation core: EventQueue ordering vs the
-// closure Kernel, CompiledModel lowering, byte-identical logs between the
-// AST and bytecode simulation paths over the TUTMAC case study (with and
-// without a fault plan), and BatchRunner determinism across thread counts.
+// closure Kernel, CompiledModel lowering, the SystemView and CompiledModel
+// constructors against log and statistics pins over the TUTMAC case study
+// (with and without a fault plan), and BatchRunner determinism across
+// thread counts.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "sim/backend.hpp"
 #include "sim/batch.hpp"
+#include "sim/campaign.hpp"
 #include "sim/compiled.hpp"
 #include "sim/event.hpp"
 #include "sim/kernel.hpp"
@@ -149,18 +154,24 @@ TEST(CompiledModel, LowersTutmacStructure) {
 }
 
 // ---------------------------------------------------------------------------
-// Byte-identical logs: AST path vs compiled path
+// Pinned logs: SystemView constructor vs CompiledModel constructor
 // ---------------------------------------------------------------------------
+
+// Both non-native constructors step bytecode, so comparing them with each
+// other alone would not notice an engine change. The digests and statistics
+// below were recorded with the AST interpreter (efsm::Instance) driving the
+// SystemView constructor; efsm::Instance remains the reference semantics.
 
 namespace {
 
-/// Runs the TUTMAC workload on the given path and returns the rendered log.
-std::string run_ast(const tutmac::System& sys, const mapping::SystemView& view,
-                    const Config& config) {
-  Simulation simulation(view, config);
-  sys.inject_workload(simulation);
-  simulation.run();
-  return simulation.log().to_text();
+/// Runs the TUTMAC workload through the SystemView constructor.
+std::unique_ptr<Simulation> run_from_view(const tutmac::System& sys,
+                                          const mapping::SystemView& view,
+                                          const Config& config) {
+  auto simulation = std::make_unique<Simulation>(view, config);
+  sys.inject_workload(*simulation);
+  simulation->run();
+  return simulation;
 }
 
 std::string run_compiled(const tutmac::System& sys,
@@ -180,11 +191,11 @@ TEST(CompiledSim, TutmacLogByteIdentical) {
   Config config;
   config.horizon = sys.options.horizon;
 
-  const std::string ast_log = run_ast(sys, view, config);
-  const std::string compiled_log =
-      run_compiled(sys, CompiledModel::build(view), config);
-  ASSERT_FALSE(ast_log.empty());
-  EXPECT_EQ(ast_log, compiled_log);
+  const auto from_view = run_from_view(sys, view, config);
+  EXPECT_EQ(from_view->log().size(), 116u);
+  EXPECT_EQ(log_digest(from_view->log()), 0x75a6444701943260u);
+  EXPECT_EQ(from_view->log().to_text(),
+            run_compiled(sys, CompiledModel::build(view), config));
 }
 
 TEST(CompiledSim, TutmacLogByteIdenticalUnderFaults) {
@@ -194,11 +205,11 @@ TEST(CompiledSim, TutmacLogByteIdenticalUnderFaults) {
   config.horizon = sys.options.horizon;
   config.faults = stress_plan();
 
-  const std::string ast_log = run_ast(sys, view, config);
-  const std::string compiled_log =
-      run_compiled(sys, CompiledModel::build(view), config);
-  ASSERT_FALSE(ast_log.empty());
-  EXPECT_EQ(ast_log, compiled_log);
+  const auto from_view = run_from_view(sys, view, config);
+  EXPECT_EQ(from_view->log().size(), 116u);
+  EXPECT_EQ(log_digest(from_view->log()), 0xc687dc9dc81ed8f7u);
+  EXPECT_EQ(from_view->log().to_text(),
+            run_compiled(sys, CompiledModel::build(view), config));
 }
 
 TEST(CompiledSim, StatsMatchAstPath) {
@@ -206,36 +217,100 @@ TEST(CompiledSim, StatsMatchAstPath) {
   mapping::SystemView view(*sys.model);
   Config config;
   config.horizon = sys.options.horizon;
+  const auto from_view = run_from_view(sys, view, config);
+  Simulation compiled(CompiledModel::build(view), config);
+  sys.inject_workload(compiled);
+  compiled.run();
 
-  Simulation ast_sim(view, config);
-  sys.inject_workload(ast_sim);
-  ast_sim.run();
-
-  Simulation compiled_sim(CompiledModel::build(view), config);
-  sys.inject_workload(compiled_sim);
-  compiled_sim.run();
-
-  EXPECT_EQ(ast_sim.events_dispatched(), compiled_sim.events_dispatched());
-  ASSERT_EQ(ast_sim.pe_stats().size(), compiled_sim.pe_stats().size());
-  for (const auto& [name, stats] : ast_sim.pe_stats()) {
-    const PeStats& other = compiled_sim.pe_stats().at(name);
-    EXPECT_EQ(stats.busy_time, other.busy_time) << name;
-    EXPECT_EQ(stats.steps, other.steps) << name;
-    EXPECT_EQ(stats.dispatched, other.dispatched) << name;
-  }
-  for (const auto& [name, stats] : ast_sim.segment_stats()) {
-    const SegmentStats& other = compiled_sim.segment_stats().at(name);
-    EXPECT_EQ(stats.grants, other.grants) << name;
-    EXPECT_EQ(stats.busy_time, other.busy_time) << name;
+  struct PePin {
+    const char* name;
+    Time busy_time;
+    std::uint64_t steps, dispatched;
+  };
+  const PePin pe_pins[] = {{"accelerator1", 0, 1, 1},
+                           {"processor1", 1'512'000, 26, 26},
+                           {"processor2", 0, 2, 2},
+                           {"processor3", 0, 0, 0}};
+  for (const Simulation* simulation : {from_view.get(), &compiled}) {
+    EXPECT_EQ(simulation->events_dispatched(), 48u);
+    ASSERT_EQ(simulation->pe_stats().size(), std::size(pe_pins));
+    for (const PePin& pin : pe_pins) {
+      const PeStats& stats = simulation->pe_stats().at(pin.name);
+      EXPECT_EQ(stats.busy_time, pin.busy_time) << pin.name;
+      EXPECT_EQ(stats.steps, pin.steps) << pin.name;
+      EXPECT_EQ(stats.dispatched, pin.dispatched) << pin.name;
+    }
+    ASSERT_EQ(simulation->segment_stats().size(), 3u);
+    for (const auto& [name, stats] : simulation->segment_stats()) {
+      EXPECT_EQ(stats.grants, 0u) << name;
+      EXPECT_EQ(stats.busy_time, 0u) << name;
+    }
   }
 }
 
-TEST(CompiledSim, InstanceAccessorRequiresAstPath) {
-  const auto sys = make_tutmac(100'000);
+namespace {
+
+/// A BackendImage whose executors wrap the bytecode interpreter: stands in
+/// for a native image wherever only the out-of-line dispatch matters.
+class BytecodeImage final : public BackendImage {
+ public:
+  explicit BytecodeImage(std::shared_ptr<const CompiledModel> model)
+      : model_(std::move(model)) {}
+  std::shared_ptr<const CompiledModel> model() const override {
+    return model_;
+  }
+  std::unique_ptr<ProcExecutor> make_executor(
+      std::uint32_t proc) const override {
+    const CompiledModel::ProcInfo& info = model_->procs()[proc];
+    return std::make_unique<Executor>(*info.machine, info.name);
+  }
+  std::string_view name() const override { return "bytecode-stub"; }
+  std::uint64_t content_hash() const override { return 1; }
+
+ private:
+  struct Executor final : ProcExecutor {
+    Executor(const efsm::CompiledMachine& m, std::string n)
+        : inst(m, std::move(n)) {}
+    efsm::StepResult start() override { return inst.start(); }
+    efsm::StepResult reset() override { return inst.reset(); }
+    efsm::StepResult deliver(const efsm::Event& e) override {
+      return inst.deliver(e);
+    }
+    efsm::StepResult timer_fired(const std::string& t) override {
+      return inst.timer_fired(t);
+    }
+    void rewind() override { inst.rewind(); }
+    efsm::CompiledInstance inst;
+  };
+  std::shared_ptr<const CompiledModel> model_;
+};
+
+}  // namespace
+
+TEST(CompiledSim, InstanceAccessorThrowsOnlyForBackendImage) {
+  const auto sys = make_tutmac(1'000'000);
   mapping::SystemView view(*sys.model);
-  Simulation simulation(CompiledModel::build(view), Config{});
-  EXPECT_THROW((void)simulation.instance("rca"), std::logic_error);
-  EXPECT_THROW((void)simulation.instance("nosuch"), std::out_of_range);
+  Config config;
+  config.horizon = sys.options.horizon;
+  const auto model = CompiledModel::build(view);
+  Simulation compiled(model, config);
+  sys.inject_workload(compiled);
+  compiled.run();
+  const auto from_view = run_from_view(sys, view, config);
+
+  const efsm::CompiledInstance& rca = compiled.instance("rca");
+  EXPECT_FALSE(rca.state_name().empty());
+  EXPECT_EQ(rca.state_name(), from_view->instance("rca").state_name());
+  EXPECT_EQ(rca.variable("slotcnt"),
+            from_view->instance("rca").variable("slotcnt"));
+  EXPECT_THROW((void)compiled.instance("nosuch"), std::out_of_range);
+
+  Simulation image(std::make_shared<const BytecodeImage>(model), config);
+  sys.inject_workload(image);
+  image.run();
+  EXPECT_EQ(image.log().to_text(), compiled.log().to_text());
+  EXPECT_THROW((void)image.instance("rca"), std::logic_error);
+  EXPECT_THROW((void)image.instance("nosuch"), std::out_of_range);
 }
 
 // ---------------------------------------------------------------------------

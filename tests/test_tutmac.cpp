@@ -168,7 +168,8 @@ TEST(TutmacSimulation, ShortRunProducesTraffic) {
   const auto simulation = sys.simulate(view);
   EXPECT_GT(simulation->log().size(), 100u);
   // The radio path executed.
-  EXPECT_GT(simulation->instance("rca").variable("slotcnt"), 10);
+  const efsm::CompiledInstance& rca = simulation->instance("rca");
+  EXPECT_GT(rca.variable("slotcnt"), 10);
   // Cross-bridge CRC traffic happened.
   EXPECT_GT(simulation->segment_stats().at("bridge").transfers, 0u);
 }
