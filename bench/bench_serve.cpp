@@ -56,7 +56,7 @@ const Fixture& fixture() {
   return f;
 }
 
-std::string simulate_payload(serve::BackendChoice backend) {
+std::string simulate_payload(sim::Backend backend) {
   serve::SimulateRequest q;
   q.model_xml = fixture().xml;
   q.backend = backend;
@@ -70,7 +70,7 @@ serve::SimulateResponse decode_simulate(const std::string& response) {
   return serve::SimulateResponse::decode(r);
 }
 
-void cold_loop(benchmark::State& state, serve::BackendChoice backend) {
+void cold_loop(benchmark::State& state, sim::Backend backend) {
   serve::Engine engine(sim::ResourceProfile::unbounded());
   const std::string payload = simulate_payload(backend);
   // Prime once outside timing: for native this compiles the .so, so the
@@ -85,7 +85,7 @@ void cold_loop(benchmark::State& state, serve::BackendChoice backend) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-void warm_loop(benchmark::State& state, serve::BackendChoice backend) {
+void warm_loop(benchmark::State& state, sim::Backend backend) {
   serve::Engine engine(sim::ResourceProfile::unbounded());
   const std::string payload = simulate_payload(backend);
   engine.handle(payload);
@@ -97,16 +97,16 @@ void warm_loop(benchmark::State& state, serve::BackendChoice backend) {
 }
 
 void BM_ServeSimulateCold(benchmark::State& state) {
-  cold_loop(state, serve::BackendChoice::Interpreter);
+  cold_loop(state, sim::Backend::Interpreter);
 }
 void BM_ServeSimulateWarm(benchmark::State& state) {
-  warm_loop(state, serve::BackendChoice::Interpreter);
+  warm_loop(state, sim::Backend::Interpreter);
 }
 void BM_ServeSimulateColdNative(benchmark::State& state) {
-  cold_loop(state, serve::BackendChoice::Native);
+  cold_loop(state, sim::Backend::Native);
 }
 void BM_ServeSimulateWarmNative(benchmark::State& state) {
-  warm_loop(state, serve::BackendChoice::Native);
+  warm_loop(state, sim::Backend::Native);
 }
 
 void BM_ServeLintWarm(benchmark::State& state) {
@@ -126,7 +126,7 @@ void print_header() {
 
   serve::Engine engine(sim::ResourceProfile::unbounded());
   const std::string payload =
-      simulate_payload(serve::BackendChoice::Interpreter);
+      simulate_payload(sim::Backend::Interpreter);
 
   using clock = std::chrono::steady_clock;
   const auto median_us = [](std::vector<double>& us) {

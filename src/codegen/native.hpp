@@ -168,11 +168,11 @@ class NativeInstance final : public sim::ProcExecutor {
   efsm::StepResult timer_fired(const std::string& timer) override;
   void rewind() override;
 
-  // Introspection for the lockstep tests (CompiledInstance surface).
+  bool started() const override;
+  const std::string& state_name() const override;
+  long variable(const std::string& name) const override;
+
   const std::string& name() const noexcept { return name_; }
-  bool started() const;
-  const std::string& state_name() const;
-  long variable(const std::string& name) const;
 
  private:
   [[noreturn]] void raise(int err, unsigned aux) const;

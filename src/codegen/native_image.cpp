@@ -30,29 +30,13 @@
 #include <vector>
 
 #include "codegen/native.hpp"
+#include "intern/fnv.hpp"
 #include "uml/structure.hpp"
 
 namespace tut::codegen {
 namespace {
 
 namespace fs = std::filesystem;
-
-// FNV-1a 64 (same constants as the batch/campaign log digests).
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  void bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= 0x100000001b3ull;
-    }
-  }
-  void str(const std::string& s) {
-    bytes(s.data(), s.size());
-    const unsigned char delim = 0xff;
-    bytes(&delim, 1);
-  }
-};
 
 std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -203,7 +187,7 @@ std::shared_ptr<const NativeImage> NativeImage::build(
   std::string flags = "-O2 -fPIC -shared -std=c++17";
   if (!opt.extra_flags.empty()) flags += " " + opt.extra_flags;
 
-  Fnv fnv;
+  intern::Fnv fnv;
   fnv.str(image->source_.code);
   fnv.str(flags);
   fnv.str(cxx);

@@ -198,35 +198,59 @@ class CompiledMachine {
   std::uint16_t max_regs_ = 1;
 };
 
-/// Mutable execution state of one process over a shared CompiledMachine.
-/// The API mirrors efsm::Instance; StepResults are identical for identical
-/// event sequences.
-class CompiledInstance {
+/// The stepping surface of one process's execution state, whatever runs
+/// it: CompiledInstance below, or an out-of-line executor such as
+/// codegen::NativeInstance (the simulator's sim::ProcExecutor). Every
+/// implementation returns identical StepResults and lets the same
+/// exceptions escape (EvalError, LivelockError, std::logic_error) — the
+/// simulator's fault handling and the lockstep tests rely on parity.
+class ProcExecutor {
+ public:
+  virtual ~ProcExecutor() = default;
+  virtual StepResult start() = 0;
+  virtual StepResult reset() = 0;
+  virtual StepResult deliver(const Event& event) = 0;
+  virtual StepResult timer_fired(const std::string& timer) = 0;
+  /// Rewinds to the freshly-constructed state (CompiledInstance::rewind).
+  virtual void rewind() = 0;
+
+  // White-box view for tests and examples.
+  virtual bool started() const = 0;
+  /// Current state name (empty before start()).
+  virtual const std::string& state_name() const = 0;
+  /// Value of a persistent variable; throws std::out_of_range when unset.
+  virtual long variable(const std::string& name) const = 0;
+};
+
+/// Mutable execution state of one process over a shared CompiledMachine:
+/// the bytecode interpreter. The API mirrors efsm::Instance; StepResults
+/// are identical for identical event sequences.
+class CompiledInstance final : public ProcExecutor {
  public:
   CompiledInstance(const CompiledMachine& machine, std::string name);
 
-  StepResult start();
-  StepResult reset();
-  StepResult deliver(const Event& event);
-  StepResult timer_fired(const std::string& timer);
+  StepResult start() override;
+  StepResult reset() override;
+  StepResult deliver(const Event& event) override;
+  StepResult timer_fired(const std::string& timer) override;
 
   /// Rewinds to the freshly-constructed state — not started, slots at their
   /// declared initial values — without executing entry actions (unlike
   /// reset(), which restarts the machine). Step-for-step behaviour after
   /// rewind() is identical to a new instance; scenario batches use it to
   /// reuse one instance's allocations across runs.
-  void rewind();
+  void rewind() override;
 
   const std::string& name() const noexcept { return name_; }
   const CompiledMachine& machine() const noexcept { return *machine_; }
-  bool started() const noexcept {
+  bool started() const noexcept override {
     return state_ != CompiledMachine::kNoState;
   }
   /// Current state name (empty before start()).
-  const std::string& state_name() const;
+  const std::string& state_name() const override;
   /// Value of a persistent variable (declared, or created by an Assign).
   /// Throws std::out_of_range like Instance::variable.
-  long variable(const std::string& name) const;
+  long variable(const std::string& name) const override;
 
  private:
   const CompiledMachine::Transition* find_transition(const Event* event,

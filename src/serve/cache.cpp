@@ -86,17 +86,17 @@ ModelCache::EntryPtr ModelCache::build_entry(std::uint64_t key,
   entry->model = uml::from_xml_text(
       entry->xml, static_cast<std::size_t>(profile_.arena_bytes));
   entry->view = std::make_unique<mapping::SystemView>(*entry->model);
-  entry->compiled = sim::CompiledModel::build(*entry->view);
-  if (backend == sim::Backend::Native) {
-    entry->backend = codegen::NativeImage::build(entry->compiled);
-  }
+  auto compiled = sim::CompiledModel::build(*entry->view);
+  entry->image = backend == sim::Backend::Native
+                     ? codegen::NativeImage::build(std::move(compiled))
+                     : sim::interpreter_image(std::move(compiled));
   // Footprint estimate for the byte ceiling: the XML copy plus a per-element
   // charge for the parsed model + lowered tables, plus a flat base (route
   // tables, name maps) and a native-image surcharge (dlopen'ed .so + host
   // tables). Deliberately coarse — eviction needs monotonicity in model
   // size, not accounting precision.
   entry->bytes = 4096 + entry->xml.size() + 256 * entry->model->size() +
-                 (entry->backend != nullptr ? 65536 : 0);
+                 (backend == sim::Backend::Native ? 65536 : 0);
   return entry;
 }
 
@@ -227,9 +227,7 @@ std::unique_ptr<sim::Simulation> ModelCache::acquire_context(
       return sim;
     }
   }
-  return entry->backend != nullptr
-             ? std::make_unique<sim::Simulation>(entry->backend, config)
-             : std::make_unique<sim::Simulation>(entry->compiled, config);
+  return std::make_unique<sim::Simulation>(entry->image, config);
 }
 
 void ModelCache::release_context(const EntryPtr& entry,

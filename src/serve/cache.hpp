@@ -8,7 +8,7 @@
 // bytes, backend choice, profile caps) — mapping and platform live inside
 // the XML, so a remapped model is a different key by construction — and the
 // value owns the whole lowered chain (parsed uml::Model, mapping::SystemView,
-// shared CompiledModel, optional native BackendImage) plus the cached lint
+// the behaviour image over the shared CompiledModel) plus the cached lint
 // report and a pool of reusable Simulation contexts, so a warm request
 // skips straight to Simulation::reset + run.
 //
@@ -38,7 +38,6 @@
 
 #include "mapping/mapping.hpp"
 #include "sim/backend.hpp"
-#include "sim/compiled.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 #include "uml/model.hpp"
@@ -62,7 +61,8 @@ struct CacheStats {
 class ModelCache {
  public:
   /// One cached compiled model: the ownership chain XML → Model →
-  /// SystemView → CompiledModel (→ BackendImage), immutable after build.
+  /// SystemView → CompiledModel → BackendImage (interpreter or native),
+  /// immutable after build.
   /// The lint report and the context pool are the only mutable members,
   /// each behind its own mutex.
   struct Entry {
@@ -70,8 +70,7 @@ class ModelCache {
     std::string xml;  ///< owned copy; everything below borrows from it
     std::unique_ptr<uml::Model> model;
     std::unique_ptr<mapping::SystemView> view;
-    std::shared_ptr<const sim::CompiledModel> compiled;
-    std::shared_ptr<const sim::BackendImage> backend;  ///< null = interpreter
+    std::shared_ptr<const sim::BackendImage> image;  ///< never null
     std::size_t bytes = 0;  ///< footprint estimate used for the byte ceiling
     std::atomic<std::uint64_t> stamp{0};  ///< LRU logical clock
 

@@ -94,6 +94,21 @@ std::vector<WorkloadEntry> decode_workload(wire::Reader& r) {
   return w;
 }
 
+namespace {
+
+/// A request's backend word; only sim::Backend's values decode.
+sim::Backend decode_backend(wire::Reader& r) {
+  const std::uint32_t word = r.u32();
+  if (word > static_cast<std::uint32_t>(sim::Backend::Native)) {
+    throw ProtocolError("serve.request.backend",
+                        "unknown backend word " + std::to_string(word) +
+                            " (0 interpreter, 1 native)");
+  }
+  return static_cast<sim::Backend>(word);
+}
+
+}  // namespace
+
 // -- simulate ---------------------------------------------------------------
 
 std::string SimulateRequest::encode() const {
@@ -113,7 +128,7 @@ std::string SimulateRequest::encode() const {
 SimulateRequest SimulateRequest::decode(wire::Reader& r) {
   SimulateRequest q;
   q.model_xml = std::string(r.str());
-  q.backend = static_cast<BackendChoice>(r.u32());
+  q.backend = decode_backend(r);
   q.horizon = r.u64();
   q.has_seed = r.u8() != 0;
   q.seed = r.u64();
@@ -168,7 +183,7 @@ std::string BatchRequest::encode() const {
 BatchRequest BatchRequest::decode(wire::Reader& r) {
   BatchRequest q;
   q.model_xml = std::string(r.str());
-  q.backend = static_cast<BackendChoice>(r.u32());
+  q.backend = decode_backend(r);
   q.horizon = r.u64();
   q.seed = r.u64();
   q.count = r.u32();
@@ -272,7 +287,7 @@ std::string CampaignRequest::encode() const {
 CampaignRequest CampaignRequest::decode(wire::Reader& r) {
   CampaignRequest q;
   q.campaign_xml = std::string(r.str());
-  q.backend = static_cast<BackendChoice>(r.u32());
+  q.backend = decode_backend(r);
   q.threads = r.u32();
   q.images.resize(r.u32());
   for (auto& [name, xml] : q.images) {

@@ -19,7 +19,8 @@
 // conventions: [serve.frame.truncated] for short reads (a connection that
 // dies mid-frame is an expected event, not a raw exception),
 // [serve.frame.magic] for garbage bytes, [serve.frame.oversize] for frames
-// above the hard ceiling, [serve.request.unknown] for an unknown kind.
+// above the hard ceiling, [serve.request.unknown] for an unknown kind,
+// [serve.request.backend] for a backend word sim::Backend does not define.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +29,8 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "sim/backend.hpp"
 
 namespace tut::serve {
 
@@ -114,9 +117,6 @@ enum class RequestKind : std::uint32_t {
   Shutdown = 7,
 };
 
-/// Behaviour backend selector carried in requests. Mirrors sim::Backend.
-enum class BackendChoice : std::uint32_t { Interpreter = 0, Native = 1 };
-
 /// One periodic environment-injection stream: the server injects
 /// `signal` through boundary port `port` at first = period + first_offset,
 /// then every `period` ticks until the horizon ((horizon - first) / period
@@ -140,7 +140,7 @@ std::vector<WorkloadEntry> decode_workload(wire::Reader& r);
 
 struct SimulateRequest {
   std::string model_xml;
-  BackendChoice backend = BackendChoice::Interpreter;
+  sim::Backend backend = sim::Backend::Interpreter;
   std::uint64_t horizon = 0;
   bool has_seed = false;
   std::uint64_t seed = 0;
@@ -170,7 +170,7 @@ struct SimulateResponse {
 
 struct BatchRequest {
   std::string model_xml;
-  BackendChoice backend = BackendChoice::Interpreter;
+  sim::Backend backend = sim::Backend::Interpreter;
   std::uint64_t horizon = 0;
   std::uint64_t seed = 0;  ///< scenario i runs fault seed `seed + i`
   std::uint32_t count = 1;
@@ -224,7 +224,7 @@ struct LintResponse {
 
 struct CampaignRequest {
   std::string campaign_xml;
-  BackendChoice backend = BackendChoice::Interpreter;
+  sim::Backend backend = sim::Backend::Interpreter;
   std::uint32_t threads = 0;
   /// One serialized model per mapping-axis name, in spec.mapping_names
   /// order ("paper" alone when the sweep names none).

@@ -91,8 +91,8 @@ Engine::Engine(const sim::ResourceProfile& profile)
 }
 
 ModelCache::Acquired Engine::acquire(std::string_view model_xml,
-                                     BackendChoice backend) const {
-  if (backend == BackendChoice::Native) {
+                                     sim::Backend backend) const {
+  if (backend == sim::Backend::Native) {
     try {
       return cache_.acquire(model_xml, sim::Backend::Native);
     } catch (const std::exception& e) {
@@ -158,9 +158,8 @@ std::string Engine::do_simulate(wire::Reader& r) {
 
   SimulateResponse p;
   p.warm = acq.warm;
-  p.backend_name = acq.entry->backend != nullptr ? "native" : "interpreter";
-  p.image_hash =
-      acq.entry->backend != nullptr ? acq.entry->backend->content_hash() : 0;
+  p.backend_name = acq.entry->image->name();
+  p.image_hash = acq.entry->image->content_hash();
   p.events = simulation->events_dispatched();
   p.records = simulation->log().size();
   p.end_time = simulation->now();
@@ -198,16 +197,13 @@ std::string Engine::do_batch(wire::Reader& r) {
   sim::BatchOptions options;
   options.threads = q.threads;
   options.profile = profile_;
-  const sim::BatchRunner runner =
-      entry->backend != nullptr ? sim::BatchRunner(entry->backend, options)
-                                : sim::BatchRunner(entry->compiled, options);
+  const sim::BatchRunner runner(entry->image, options);
   const std::vector<sim::BatchResult> results = runner.run(scenarios);
 
   BatchResponse p;
   p.warm = acq.warm;
-  p.backend_name = entry->backend != nullptr ? "native" : "interpreter";
-  p.image_hash =
-      entry->backend != nullptr ? entry->backend->content_hash() : 0;
+  p.backend_name = entry->image->name();
+  p.image_hash = entry->image->content_hash();
   p.rows.reserve(results.size());
   for (std::uint32_t i = 0; i < results.size(); ++i) {
     BatchResponse::Row row;
@@ -233,7 +229,7 @@ std::string Engine::do_lint(wire::Reader& r) {
   // uncached parse + analyze, which is total.
   ModelCache::EntryPtr entry;
   try {
-    entry = acquire(q.model_xml, BackendChoice::Interpreter).entry;
+    entry = acquire(q.model_xml, sim::Backend::Interpreter).entry;
   } catch (const std::exception&) {
     entry = nullptr;
   }
@@ -290,15 +286,15 @@ std::string Engine::do_campaign(wire::Reader& r) {
   std::vector<std::string> mapping_names = spec.mapping_names;
   if (mapping_names.empty()) mapping_names.push_back("paper");
 
-  std::map<std::string, const std::string*> images;
-  for (const auto& [name, xml] : q.images) images[name] = &xml;
+  std::map<std::string, const std::string*> image_xml;
+  for (const auto& [name, xml] : q.images) image_xml[name] = &xml;
 
-  const auto acquire_all = [&](BackendChoice choice) {
+  const auto acquire_all = [&](sim::Backend choice) {
     std::vector<ModelCache::Acquired> out;
     out.reserve(mapping_names.size());
     for (const std::string& name : mapping_names) {
-      const auto it = images.find(name);
-      if (it == images.end()) {
+      const auto it = image_xml.find(name);
+      if (it == image_xml.end()) {
         throw ProtocolError("serve.campaign.image",
                             "campaign sweeps mapping '" + name +
                                 "' but the request carries no such image");
@@ -312,21 +308,19 @@ std::string Engine::do_campaign(wire::Reader& r) {
   // provenance ambiguous): when the native acquire of any image fell back,
   // re-acquire the lot as interpreter — warm hits, not rebuilds.
   std::vector<ModelCache::Acquired> acquired = acquire_all(q.backend);
-  bool native = q.backend == BackendChoice::Native;
-  if (native) {
-    for (const ModelCache::Acquired& a : acquired) {
-      if (a.entry->backend == nullptr) native = false;
+  const std::string_view backend_name = acquired.front().entry->image->name();
+  for (const ModelCache::Acquired& a : acquired) {
+    if (a.entry->image->name() != backend_name) {
+      acquired = acquire_all(sim::Backend::Interpreter);
+      break;
     }
-    if (!native) acquired = acquire_all(BackendChoice::Interpreter);
   }
 
   std::vector<ModelCache::EntryPtr> entries;
-  std::vector<std::shared_ptr<const sim::CompiledModel>> compiled;
-  std::vector<std::shared_ptr<const sim::BackendImage>> backends;
+  std::vector<std::shared_ptr<const sim::BackendImage>> images;
   for (const ModelCache::Acquired& a : acquired) {
     entries.push_back(a.entry);
-    compiled.push_back(a.entry->compiled);
-    if (native) backends.push_back(a.entry->backend);
+    images.push_back(a.entry->image);
   }
 
   const std::vector<WorkloadEntry>& workload = q.workload;
@@ -334,9 +328,7 @@ std::string Engine::do_campaign(wire::Reader& r) {
                                           const sim::Scenario& scenario) {
     inject_entries(simulation, *entries[scenario.image], workload, &scenario);
   };
-  const sim::CampaignRunner runner =
-      native ? sim::CampaignRunner(std::move(backends), setup)
-             : sim::CampaignRunner(std::move(compiled), setup);
+  const sim::CampaignRunner runner(std::move(images), setup);
 
   sim::CampaignOptions options;
   options.threads = q.threads;
@@ -347,7 +339,7 @@ std::string Engine::do_campaign(wire::Reader& r) {
   for (const ModelCache::Acquired& a : acquired) {
     if (a.warm) ++p.warm_images;
   }
-  p.backend_name = native ? "native" : "interpreter";
+  p.backend_name = acquired.front().entry->image->name();
   p.digest = result.aggregate.digest;
   p.scenarios = result.aggregate.scenarios;
   p.completed = result.completed;

@@ -64,7 +64,7 @@ class Engine {
   /// build failure (typically no C++ compiler) retries as interpreter
   /// instead of failing the request. Results are byte-identical either way.
   ModelCache::Acquired acquire(std::string_view model_xml,
-                               BackendChoice backend) const;
+                               sim::Backend backend) const;
 
   sim::ResourceProfile profile_;
   mutable ModelCache cache_;

@@ -1,15 +1,15 @@
 // tut::sim — pluggable process-behaviour backends.
 //
 // The simulator owns event routing, timing and logging; *how* one process
-// steps its state machine is a backend decision. The simulator has two
-// executors: the bytecode interpreter (efsm::CompiledInstance, every
-// non-native Simulation) and, through this interface, out-of-line executors
-// such as codegen::NativeImage's dlopen'ed machine code. The AST walker
-// (efsm::Instance) is a test reference only. The interface is deliberately
-// the exact CompiledInstance step surface — identical StepResults in,
-// identical SimulationLogs out — so a backend swap is observable only
-// through wall-clock time and the provenance fields (name + content hash)
-// that batch and campaign runs record. Resource envelopes
+// steps its state machine is a backend decision, and it lives only in the
+// BackendImage a run holds. Every run holds one: the bytecode interpreter
+// (interpreter_image(), efsm::CompiledInstance) or an out-of-line image such
+// as codegen::NativeImage's dlopen'ed machine code. The AST walker
+// (efsm::Instance) is a test reference only. The executor interface is
+// deliberately the exact CompiledInstance step surface — identical
+// StepResults in, identical SimulationLogs out — so a backend swap is
+// observable only through wall-clock time and the provenance fields (name +
+// content hash) that batch and campaign runs record. Resource envelopes
 // (sim::ResourceProfile) are part of that parity: caps live in the
 // simulator layer (log, event queue), never in a backend, so an envelope
 // miss raises the same EnvelopeError — same tag, same message, same sim
@@ -25,7 +25,7 @@
 #include <string>
 #include <string_view>
 
-#include "efsm/machine.hpp"
+#include "efsm/program.hpp"
 
 namespace tut::sim {
 
@@ -33,23 +33,13 @@ class CompiledModel;
 
 /// Which executor a run steps its processes with. Interpreter is the
 /// bytecode interpreter (the default); Native is a
-/// generated-and-dlopen'ed BackendImage.
-enum class Backend { Interpreter, Native };
+/// generated-and-dlopen'ed BackendImage. The values are wire words of the
+/// serve protocol.
+enum class Backend : std::uint32_t { Interpreter = 0, Native = 1 };
 
-/// Mutable per-process execution state behind a backend. Mirrors
-/// efsm::CompiledInstance's stepping surface exactly, including which
-/// exceptions escape (EvalError, LivelockError, std::logic_error) — the
-/// simulator's fault handling and the lockstep tests rely on parity.
-class ProcExecutor {
- public:
-  virtual ~ProcExecutor() = default;
-  virtual efsm::StepResult start() = 0;
-  virtual efsm::StepResult reset() = 0;
-  virtual efsm::StepResult deliver(const efsm::Event& event) = 0;
-  virtual efsm::StepResult timer_fired(const std::string& timer) = 0;
-  /// Rewind to the freshly-constructed state (CompiledInstance::rewind()).
-  virtual void rewind() = 0;
-};
+/// Mutable per-process execution state behind a backend: the efsm
+/// stepping surface, which efsm::CompiledInstance implements directly.
+using ProcExecutor = efsm::ProcExecutor;
 
 /// A loaded behaviour image covering every process of one CompiledModel.
 /// Shared and immutable: batch and campaign workers on any number of
@@ -65,9 +55,15 @@ class BackendImage {
       std::uint32_t proc) const = 0;
   /// Short backend name for provenance output, e.g. "native".
   virtual std::string_view name() const = 0;
-  /// Content hash of the generated image (source + flags); 0 is reserved
-  /// for "no image" (interpreter) in ScenarioSummary provenance.
+  /// Content hash of the generated image (source + flags); the
+  /// interpreter, which generates nothing, reports 0.
   virtual std::uint64_t content_hash() const = 0;
 };
+
+/// The bytecode interpreter as a BackendImage over `model`: executors are
+/// efsm::CompiledInstances, name() is "interpreter", content_hash() is 0.
+/// Returns null for a null model, so the callers' argument checks see it.
+std::shared_ptr<const BackendImage> interpreter_image(
+    std::shared_ptr<const CompiledModel> model);
 
 }  // namespace tut::sim

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "intern/fnv.hpp"
+
 namespace tut::sim {
 
 namespace {
@@ -26,34 +28,20 @@ std::size_t resolve_threads(const BatchOptions& options) {
 
 BatchRunner::BatchRunner(std::shared_ptr<const CompiledModel> model,
                          BatchOptions options)
-    : model_(std::move(model)), options_(options) {
-  if (model_ == nullptr) {
-    throw std::invalid_argument("BatchRunner requires a non-null model");
-  }
-  threads_ = resolve_threads(options_);
-}
+    : BatchRunner(interpreter_image(std::move(model)), options) {}
 
-BatchRunner::BatchRunner(std::shared_ptr<const BackendImage> backend,
+BatchRunner::BatchRunner(std::shared_ptr<const BackendImage> image,
                          BatchOptions options)
-    : backend_(std::move(backend)), options_(options) {
-  if (backend_ == nullptr) {
-    throw std::invalid_argument("BatchRunner requires a non-null backend");
-  }
-  model_ = backend_->model();
-  if (model_ == nullptr) {
+    : image_(std::move(image)), options_(options) {
+  if (image_ == nullptr || image_->model() == nullptr) {
     throw std::invalid_argument(
-        "BatchRunner backend carries no CompiledModel");
+        "BatchRunner requires a non-null image over a CompiledModel");
   }
   threads_ = resolve_threads(options_);
 }
 
 std::uint64_t BatchRunner::hash_text(std::string_view text) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  return intern::Fnv::of(text);
 }
 
 BatchResult BatchRunner::run_one(const BatchScenario& scenario,
@@ -61,10 +49,8 @@ BatchResult BatchRunner::run_one(const BatchScenario& scenario,
                                  std::string& scratch) const {
   BatchResult result;
   result.name = scenario.name;
-  if (backend_) {
-    result.backend = backend_->name();
-    result.image_hash = backend_->content_hash();
-  }
+  result.backend = image_->name();
+  result.image_hash = image_->content_hash();
   try {
     Config config = scenario.config;
     if (options_.profile.bounds_simulation()) {
@@ -74,8 +60,7 @@ BatchResult BatchRunner::run_one(const BatchScenario& scenario,
       config.envelope.log_spill_path.clear();
     }
     if (!context) {
-      context = backend_ ? std::make_unique<Simulation>(backend_, config)
-                         : std::make_unique<Simulation>(model_, config);
+      context = std::make_unique<Simulation>(image_, config);
     } else {
       context->reset(config);
     }
@@ -111,10 +96,8 @@ BatchResult BatchRunner::run_one(const BatchScenario& scenario,
     result = BatchResult{};
     result.name = scenario.name;
     result.error = e.what();
-    if (backend_) {
-      result.backend = backend_->name();
-      result.image_hash = backend_->content_hash();
-    }
+    result.backend = image_->name();
+    result.image_hash = image_->content_hash();
   }
   return result;
 }

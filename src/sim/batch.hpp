@@ -46,9 +46,8 @@ struct BatchResult {
   std::map<std::string, PeStats> pe_stats;
   std::map<std::string, SegmentStats> segment_stats;
   std::string error;
-  /// Compile-backend provenance: which executor stepped the processes
-  /// ("interpreter" or the BackendImage's name) and, for generated images,
-  /// the image content hash (0 for the interpreter) — so A/B comparisons
+  /// Compile-backend provenance: the image's name() and content_hash()
+  /// ("interpreter", 0 for the bytecode interpreter) — so A/B comparisons
   /// stay attributable after the fact.
   std::string backend = "interpreter";
   std::uint64_t image_hash = 0;
@@ -73,18 +72,18 @@ struct BatchOptions {
 /// Runs scenario batches over one compiled model image.
 class BatchRunner {
  public:
+  /// Same as the image constructor over interpreter_image(model).
   explicit BatchRunner(std::shared_ptr<const CompiledModel> model,
                        BatchOptions options = {});
 
-  /// Runs every scenario through `backend` (e.g. a codegen::NativeImage)
-  /// instead of the bytecode interpreter. Results are byte-identical to
-  /// the interpreter's, modulo the provenance fields.
-  explicit BatchRunner(std::shared_ptr<const BackendImage> backend,
+  /// Runs every scenario through executors drawn from `image` (the
+  /// interpreter, or e.g. a codegen::NativeImage). Results are
+  /// byte-identical across images, modulo the provenance fields.
+  explicit BatchRunner(std::shared_ptr<const BackendImage> image,
                        BatchOptions options = {});
 
   /// Resolved worker count.
   std::size_t threads() const noexcept { return threads_; }
-  const CompiledModel& model() const noexcept { return *model_; }
 
   /// Runs every scenario (concurrently when threads() > 1) and returns the
   /// results in scenario order. Per-scenario failures are reported in
@@ -103,8 +102,7 @@ class BatchRunner {
                       std::unique_ptr<Simulation>& context,
                       std::string& scratch) const;
 
-  std::shared_ptr<const CompiledModel> model_;
-  std::shared_ptr<const BackendImage> backend_;  ///< null: interpreter
+  std::shared_ptr<const BackendImage> image_;
   BatchOptions options_;
   std::size_t threads_ = 1;
 };

@@ -25,27 +25,7 @@ namespace {
 // Bytes and hashes
 // ---------------------------------------------------------------------------
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-/// Incremental FNV-1a accumulator; every campaign hash (log digest, spec
-/// fingerprint, rolling aggregate digest) goes through this one definition.
-struct Fnv {
-  std::uint64_t h = kFnvOffset;
-  void bytes(const void* data, std::size_t n) noexcept {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
-  }
-  void str(std::string_view s) noexcept {
-    bytes(s.data(), s.size());
-    h = (h ^ 0xffu) * kFnvPrime;  // length delimiter: "ab"+"c" != "a"+"bc"
-  }
-  void u64(std::uint64_t v) noexcept {
-    unsigned char b[8];
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-    bytes(b, 8);
-  }
-};
+using intern::Fnv;
 
 // Serialized integers are explicit little-endian so checkpoints, part files
 // and sketch blobs compare byte-equal across hosts.
@@ -203,9 +183,7 @@ P2Quantile P2Quantile::deserialize(std::string_view bytes,
 std::uint64_t log_digest(const SimulationLog& log, std::string& scratch) {
   scratch.clear();
   log.to_text(scratch);
-  Fnv f;
-  f.bytes(scratch.data(), scratch.size());
-  return f.h;
+  return Fnv::of(scratch);
 }
 
 std::uint64_t log_digest(const SimulationLog& log) {
@@ -832,47 +810,37 @@ struct CampaignState {
   std::exception_ptr io_error;
 };
 
+std::vector<std::shared_ptr<const BackendImage>> interpreter_images(
+    std::vector<std::shared_ptr<const CompiledModel>> models) {
+  std::vector<std::shared_ptr<const BackendImage>> images;
+  images.reserve(models.size());
+  for (auto& model : models) {
+    images.push_back(interpreter_image(std::move(model)));
+  }
+  return images;
+}
+
 }  // namespace
 
 CampaignRunner::CampaignRunner(
-    std::vector<std::shared_ptr<const CompiledModel>> images, Setup setup)
+    std::vector<std::shared_ptr<const CompiledModel>> models, Setup setup)
+    : CampaignRunner(interpreter_images(std::move(models)), std::move(setup)) {
+}
+
+CampaignRunner::CampaignRunner(
+    std::vector<std::shared_ptr<const BackendImage>> images, Setup setup)
     : images_(std::move(images)), setup_(std::move(setup)) {
   if (images_.empty()) {
     throw std::invalid_argument(
         "campaign: [campaign.ref.unknown] CampaignRunner needs at least one "
-        "compiled image");
+        "image");
   }
   for (const auto& image : images_) {
-    if (!image) {
+    if (!image || !image->model()) {
       throw std::invalid_argument(
           "campaign: [campaign.ref.unknown] CampaignRunner images must be "
-          "non-null");
+          "non-null images over a CompiledModel");
     }
-  }
-}
-
-CampaignRunner::CampaignRunner(
-    std::vector<std::shared_ptr<const BackendImage>> backends, Setup setup)
-    : backends_(std::move(backends)), setup_(std::move(setup)) {
-  if (backends_.empty()) {
-    throw std::invalid_argument(
-        "campaign: [campaign.ref.unknown] CampaignRunner needs at least one "
-        "backend image");
-  }
-  images_.reserve(backends_.size());
-  for (const auto& backend : backends_) {
-    if (!backend) {
-      throw std::invalid_argument(
-          "campaign: [campaign.ref.unknown] CampaignRunner backends must be "
-          "non-null");
-    }
-    std::shared_ptr<const CompiledModel> model = backend->model();
-    if (!model) {
-      throw std::invalid_argument(
-          "campaign: [campaign.ref.unknown] CampaignRunner backend carries "
-          "no CompiledModel");
-    }
-    images_.push_back(std::move(model));
   }
 }
 
@@ -1073,17 +1041,17 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec,
         // single-run CLI feature and campaign logs are hash-and-release.
         sc.config.envelope.log_spill_path.clear();
       }
-      ScenarioSummary s;
-      s.index = i;
-      if (!backends_.empty()) s.backend = backends_[sc.image]->content_hash();
+      const auto fresh_summary = [&] {
+        ScenarioSummary f;
+        f.index = i;
+        f.backend = images_[sc.image]->content_hash();
+        return f;
+      };
+      ScenarioSummary s = fresh_summary();
       std::unique_ptr<Simulation>& ctx = ctxs[sc.image];
       try {
         if (!ctx) {
-          ctx = backends_.empty()
-                    ? std::make_unique<Simulation>(images_[sc.image],
-                                                   sc.config)
-                    : std::make_unique<Simulation>(backends_[sc.image],
-                                                   sc.config);
+          ctx = std::make_unique<Simulation>(images_[sc.image], sc.config);
         } else {
           ctx->reset(sc.config);
         }
@@ -1109,11 +1077,7 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec,
         // its hash — and therefore the campaign digest — is identical across
         // thread counts, shards and backends.
         ctx.reset();
-        s = ScenarioSummary{};
-        s.index = i;
-        if (!backends_.empty()) {
-          s.backend = backends_[sc.image]->content_hash();
-        }
+        s = fresh_summary();
         Fnv f;
         f.str(e.what());
         s.error = f.h;
@@ -1124,11 +1088,7 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec,
         // rebuilds from the pristine image. The error digest is the message
         // hash — deterministic, so failed scenarios still cross-check.
         ctx.reset();
-        s = ScenarioSummary{};
-        s.index = i;
-        if (!backends_.empty()) {
-          s.backend = backends_[sc.image]->content_hash();
-        }
+        s = fresh_summary();
         Fnv f;
         f.str(e.what());
         s.error = f.h;

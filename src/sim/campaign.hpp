@@ -33,6 +33,7 @@
 #include <string_view>
 #include <vector>
 
+#include "intern/fnv.hpp"
 #include "sim/backend.hpp"
 #include "sim/compiled.hpp"
 #include "sim/simulator.hpp"
@@ -128,7 +129,7 @@ struct CampaignAggregate {
   std::uint64_t rejected_queue = 0;  ///< [envelope.queue.full]
   std::uint64_t rejected_other = 0;  ///< arena / concurrency / unknown
   /// Rolling FNV-1a over (index, digest) pairs in index order.
-  std::uint64_t digest = 0xcbf29ce484222325ull;
+  std::uint64_t digest = intern::Fnv::kOffset;
   std::uint64_t events = 0;
   std::uint64_t records = 0;
   std::uint64_t drops = 0;
@@ -304,14 +305,15 @@ class CampaignRunner {
  public:
   using Setup = std::function<void(Simulation&, const Scenario&)>;
 
-  CampaignRunner(std::vector<std::shared_ptr<const CompiledModel>> images,
+  /// Same as the image constructor over interpreter_image() of each model.
+  CampaignRunner(std::vector<std::shared_ptr<const CompiledModel>> models,
                  Setup setup);
 
-  /// Same campaign through generated behaviour images (one per mapping, in
-  /// mapping_names order — e.g. codegen::NativeImage). Aggregates and
-  /// digests are byte-identical to the interpreter runner's; only
-  /// ScenarioSummary::backend records the difference.
-  CampaignRunner(std::vector<std::shared_ptr<const BackendImage>> backends,
+  /// One behaviour image per mapping, in mapping_names order (the
+  /// interpreter, or e.g. codegen::NativeImage). Aggregates and digests are
+  /// byte-identical across images; only ScenarioSummary::backend records
+  /// the difference.
+  CampaignRunner(std::vector<std::shared_ptr<const BackendImage>> images,
                  Setup setup);
 
   /// Runs the spec's scenarios (this shard's contiguous range), reducing in
@@ -322,8 +324,7 @@ class CampaignRunner {
                      const CampaignOptions& options = {}) const;
 
  private:
-  std::vector<std::shared_ptr<const CompiledModel>> images_;
-  std::vector<std::shared_ptr<const BackendImage>> backends_;  ///< may be empty
+  std::vector<std::shared_ptr<const BackendImage>> images_;
   Setup setup_;
 };
 

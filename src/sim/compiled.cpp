@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "profile/tut_profile.hpp"
+#include "sim/backend.hpp"
 #include "sim/fault.hpp"
 
 namespace tut::sim {
@@ -217,6 +218,35 @@ std::int32_t CompiledModel::proc_index(std::string_view name) const {
 std::int32_t CompiledModel::proc_of_part(const uml::Property* part) const {
   auto it = proc_by_part_.find(part);
   return it == proc_by_part_.end() ? -1 : static_cast<std::int32_t>(it->second);
+}
+
+namespace {
+
+class InterpreterImage final : public BackendImage {
+ public:
+  explicit InterpreterImage(std::shared_ptr<const CompiledModel> model)
+      : model_(std::move(model)) {}
+  std::shared_ptr<const CompiledModel> model() const override {
+    return model_;
+  }
+  std::unique_ptr<ProcExecutor> make_executor(
+      std::uint32_t proc) const override {
+    const CompiledModel::ProcInfo& info = model_->procs()[proc];
+    return std::make_unique<efsm::CompiledInstance>(*info.machine, info.name);
+  }
+  std::string_view name() const override { return "interpreter"; }
+  std::uint64_t content_hash() const override { return 0; }
+
+ private:
+  std::shared_ptr<const CompiledModel> model_;
+};
+
+}  // namespace
+
+std::shared_ptr<const BackendImage> interpreter_image(
+    std::shared_ptr<const CompiledModel> model) {
+  if (model == nullptr) return nullptr;
+  return std::make_shared<const InterpreterImage>(std::move(model));
 }
 
 }  // namespace tut::sim

@@ -30,6 +30,7 @@
 #include <string_view>
 #include <vector>
 
+#include "intern/fnv.hpp"
 #include "sim/kernel.hpp"
 
 namespace tut::sim {
@@ -46,11 +47,7 @@ class FaultRng {
   }
   /// Stable 64-bit identity for a component name (FNV-1a).
   static std::uint64_t key(std::string_view name) noexcept {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : name) {
-      h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-    }
-    return h;
+    return intern::Fnv::of(name);
   }
 
  private:

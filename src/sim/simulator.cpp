@@ -41,35 +41,11 @@ struct Simulation::Impl {
     std::uint32_t timer = 0;          // Timer (id into timer_names_)
   };
 
-  /// EFSM backend of one process: the bytecode image (both non-native
-  /// constructors) or an out-of-line executor drawn from a BackendImage
-  /// (e.g. dlopen'ed native code). Exactly one of the two is set.
-  struct Behavior {
-    std::optional<efsm::CompiledInstance> code;
-    std::unique_ptr<ProcExecutor> ext;
-
-    efsm::StepResult start() { return code ? code->start() : ext->start(); }
-    efsm::StepResult reset() { return code ? code->reset() : ext->reset(); }
-    efsm::StepResult deliver(const efsm::Event& e) {
-      return code ? code->deliver(e) : ext->deliver(e);
-    }
-    efsm::StepResult timer_fired(const std::string& t) {
-      return code ? code->timer_fired(t) : ext->timer_fired(t);
-    }
-    void rewind() {
-      if (code) {
-        code->rewind();
-      } else {
-        ext->rewind();
-      }
-    }
-  };
-
   struct Proc {
     const CompiledModel::ProcInfo* info = nullptr;
     std::uint32_t index = 0;
     intern::Id name_id = intern::kNoId;
-    Behavior inst;
+    std::unique_ptr<ProcExecutor> inst;  // drawn from the run's image
     std::uint32_t pe = 0;    // executing PE; failover migrates this
     std::deque<PendingEvent> queue;
     std::map<std::uint32_t, std::uint64_t> timer_gen;  // by timer id
@@ -145,12 +121,9 @@ struct Simulation::Impl {
     std::vector<long> args;
   };
 
-  Impl(std::shared_ptr<const CompiledModel> model, Simulation& owner,
-       std::vector<std::string> defects,
-       std::shared_ptr<const BackendImage> backend = nullptr)
-      : model_(std::move(model)),
-        backend_(std::move(backend)),
-        owner_(owner) {
+  Impl(std::shared_ptr<const BackendImage> image, Simulation& owner,
+       std::vector<std::string> defects)
+      : image_(std::move(image)), model_(image_->model()), owner_(owner) {
     build(std::move(defects));
   }
 
@@ -184,11 +157,7 @@ struct Simulation::Impl {
       proc.info = &info;
       proc.index = static_cast<std::uint32_t>(procs_.size());
       proc.name_id = owner_.log_.intern_name(info.name);
-      if (backend_) {
-        proc.inst.ext = backend_->make_executor(proc.index);
-      } else {
-        proc.inst.code.emplace(*info.machine, info.name);
-      }
+      proc.inst = image_->make_executor(proc.index);
       proc.pe = info.home_pe;
       procs_.push_back(std::move(proc));
     }
@@ -222,7 +191,7 @@ struct Simulation::Impl {
     stuck_.clear();
     faults_on_ = !owner_.config_.faults.empty();
     for (Proc& proc : procs_) {
-      proc.inst.rewind();
+      proc.inst->rewind();
       proc.pe = proc.info->home_pe;
       proc.queue.clear();
       proc.timer_gen.clear();
@@ -645,10 +614,10 @@ struct Simulation::Impl {
     bool fired = true;
     switch (ev.kind) {
       case PendingEvent::Kind::Start:
-        result = proc->inst.start();
+        result = proc->inst->start();
         break;
       case PendingEvent::Kind::Signal:
-        result = proc->inst.deliver(ev.event);
+        result = proc->inst->deliver(ev.event);
         fired = result.fired;
         if (!fired) {
           owner_.log_.drop_id(queue_.now(), proc->name_id,
@@ -656,14 +625,14 @@ struct Simulation::Impl {
         }
         break;
       case PendingEvent::Kind::Timer:
-        result = proc->inst.timer_fired(timer_names_[ev.timer]);
+        result = proc->inst->timer_fired(timer_names_[ev.timer]);
         fired = result.fired;
         break;
       case PendingEvent::Kind::Reset:
         // Watchdog recovery: cancel every armed timer, then restart the
         // EFSM from its initial state.
         for (auto& [id, gen] : proc->timer_gen) ++gen;
-        result = proc->inst.reset();
+        result = proc->inst->reset();
         break;
     }
 
@@ -976,8 +945,8 @@ struct Simulation::Impl {
     intern::Id from = intern::kNoId;
   };
 
-  const std::shared_ptr<const CompiledModel> model_;
-  const std::shared_ptr<const BackendImage> backend_;  // null: interpreter
+  const std::shared_ptr<const BackendImage> image_;
+  const std::shared_ptr<const CompiledModel> model_;  // image_->model()
   Simulation& owner_;
   EventQueue queue_;
   bool started_ = false;
@@ -1005,34 +974,24 @@ Simulation::Simulation(const mapping::SystemView& sys, Config config)
   // defects so the fault-plan check can append to the same diagnostic.
   // Malformed expression text throws efsm::ExprError here, eagerly.
   std::vector<std::string> defects;
-  std::shared_ptr<const CompiledModel> model =
-      CompiledModel::build_collect(sys, defects);
-  impl_ = std::make_unique<Impl>(std::move(model), *this, std::move(defects));
+  std::shared_ptr<const BackendImage> image =
+      interpreter_image(CompiledModel::build_collect(sys, defects));
+  impl_ = std::make_unique<Impl>(std::move(image), *this, std::move(defects));
 }
 
 Simulation::Simulation(std::shared_ptr<const CompiledModel> model,
                        Config config)
-    : config_(config) {
-  if (model == nullptr) {
-    throw std::invalid_argument("Simulation requires a non-null model");
-  }
-  impl_ = std::make_unique<Impl>(std::move(model), *this,
-                                 std::vector<std::string>{});
-}
+    : Simulation(interpreter_image(std::move(model)), std::move(config)) {}
 
 Simulation::Simulation(std::shared_ptr<const BackendImage> image,
                        Config config)
     : config_(config) {
-  if (image == nullptr) {
-    throw std::invalid_argument("Simulation requires a non-null backend image");
-  }
-  std::shared_ptr<const CompiledModel> model = image->model();
-  if (model == nullptr) {
+  if (image == nullptr || image->model() == nullptr) {
     throw std::invalid_argument(
-        "Simulation backend image carries no CompiledModel");
+        "Simulation requires a non-null image over a CompiledModel");
   }
-  impl_ = std::make_unique<Impl>(std::move(model), *this,
-                                 std::vector<std::string>{}, std::move(image));
+  impl_ = std::make_unique<Impl>(std::move(image), *this,
+                                 std::vector<std::string>{});
 }
 
 Simulation::~Simulation() = default;
@@ -1065,20 +1024,12 @@ void Simulation::run_until(Time horizon) { impl_->run_until(horizon); }
 
 Time Simulation::now() const noexcept { return impl_->queue_.now(); }
 
-const efsm::CompiledInstance& Simulation::instance(
-    const std::string& process) const {
+const ProcExecutor& Simulation::instance(const std::string& process) const {
   const std::int32_t index = impl_->model_->proc_index(process);
   if (index < 0) {
     throw std::out_of_range("no process named '" + process + "'");
   }
-  const Impl::Proc& proc = impl_->procs_[index];
-  if (!proc.inst.code.has_value()) {
-    throw std::logic_error("process '" + process + "' runs on the '" +
-                           std::string(impl_->backend_->name()) +
-                           "' backend image; Simulation::instance() requires "
-                           "the bytecode interpreter");
-  }
-  return *proc.inst.code;
+  return *impl_->procs_[index].inst;
 }
 
 std::uint64_t Simulation::events_dispatched() const noexcept {

@@ -5,10 +5,10 @@
 // components.").
 //
 // The simulator executes every application process on the platform
-// component instance its group is mapped to, stepping its EFSM through
-// bytecode (efsm::CompiledInstance over a CompiledModel) or, for a
-// BackendImage, an out-of-line executor. The AST efsm::Instance is a test
-// reference only.
+// component instance its group is mapped to, stepping its EFSM through an
+// executor drawn from the run's BackendImage: the bytecode interpreter
+// (sim::interpreter_image) unless the caller hands in another image. The
+// AST efsm::Instance is a test reference only.
 //  - Processing elements run one transition at a time (run-to-completion),
 //    picking the pending process with the highest priority. A transition's
 //    Compute cycles take cycles/frequency wall time.
@@ -39,16 +39,15 @@
 #include <vector>
 
 #include "efsm/machine.hpp"
-#include "efsm/program.hpp"
 #include "efsm/router.hpp"
 #include "mapping/mapping.hpp"
+#include "sim/backend.hpp"
 #include "sim/fault.hpp"
 #include "sim/kernel.hpp"
 #include "sim/log.hpp"
 
 namespace tut::sim {
 
-class BackendImage;
 class CompiledModel;
 
 /// Simulator configuration knobs (defaults follow the platform defaults of
@@ -101,20 +100,17 @@ public:
   /// CompiledModel::build.
   explicit Simulation(const mapping::SystemView& sys, Config config = {});
 
-  /// Builds a simulation over a pre-lowered model image (CompiledModel::
-  /// build); the SimulationLog is byte-identical to the SystemView
-  /// constructor's. The model may be shared read-only by any number of
-  /// concurrent Simulations (see sim::BatchRunner); each keeps it alive
-  /// through the shared_ptr.
+  /// Same as the image constructor over interpreter_image(model).
   explicit Simulation(std::shared_ptr<const CompiledModel> model,
                       Config config = {});
 
-  /// Builds a simulation whose processes step through an out-of-line
-  /// behaviour image (e.g. codegen::NativeImage's dlopen'ed machine code)
-  /// instead of the bytecode interpreter. Routing, timing and logging are
-  /// unchanged — the SimulationLog is byte-identical to the other two
-  /// constructors'. The image (and through it the model) may be shared
-  /// read-only across concurrent Simulations.
+  /// Builds a simulation whose processes step through executors drawn from
+  /// `image` (the interpreter, or e.g. codegen::NativeImage's dlopen'ed
+  /// machine code) over the image's pre-lowered model. Routing, timing and
+  /// logging do not depend on the image — the SimulationLog is
+  /// byte-identical to the SystemView constructor's. The image (and through
+  /// it the model) may be shared read-only across concurrent Simulations
+  /// (see sim::BatchRunner).
   explicit Simulation(std::shared_ptr<const BackendImage> image,
                       Config config = {});
   ~Simulation();
@@ -151,10 +147,9 @@ public:
   const SimulationLog& log() const noexcept { return log_; }
   const Config& config() const noexcept { return config_; }
 
-  /// Bytecode instance of a process (for white-box assertions in tests).
-  /// Throws std::out_of_range for an unknown process and std::logic_error
-  /// when the process runs on a BackendImage (native) executor.
-  const efsm::CompiledInstance& instance(const std::string& process) const;
+  /// Executor of a process (for white-box assertions in tests), on any
+  /// backend. Throws std::out_of_range for an unknown process.
+  const ProcExecutor& instance(const std::string& process) const;
 
   const std::map<std::string, PeStats>& pe_stats() const noexcept {
     return pe_stats_;

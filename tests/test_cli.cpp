@@ -271,3 +271,19 @@ TEST(CliErrors, UsageAndMissingFiles) {
   EXPECT_EQ(run_cli("profile /nonexistent/a.xml /nonexistent/b.log").exit_code,
             1);
 }
+
+// The client subcommands parse --backend like the single-shot ones: an
+// unknown value is a usage error (exit 2) before any connection is tried.
+TEST(CliErrors, ClientSimulateRejectsUnknownBackend) {
+  const CliResult r =
+      run_cli("client --port 1 simulate tutmac /nonexistent/out --backend=nativ");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("usage: tut"), std::string::npos);
+}
+
+TEST(CliErrors, ClientCampaignRejectsUnknownBackend) {
+  const CliResult r = run_cli(
+      "client --port 1 campaign tutmac /nonexistent/c.xml --backend nativ");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("usage: tut"), std::string::npos);
+}

@@ -20,6 +20,11 @@ struct ExprCase {
   long expected;
 };
 
+// Without a printer gtest dumps the struct's bytes (string-literal
+// addresses) into the test name, so ctest names would change on every
+// relink under ASLR.
+void PrintTo(const ExprCase& c, std::ostream* os) { *os << c.label; }
+
 class ExprEval : public ::testing::TestWithParam<ExprCase> {};
 
 TEST_P(ExprEval, Evaluates) {

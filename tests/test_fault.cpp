@@ -401,7 +401,7 @@ TEST(Watchdog, IdleProcessIsResetAndRestartsCleanly) {
   EXPECT_EQ(resets[0].time, 50'000u);
 
   // The reset re-entered the initial state.
-  const efsm::CompiledInstance& dsp2 = simulation->instance("dsp2");
+  const sim::ProcExecutor& dsp2 = simulation->instance("dsp2");
   ASSERT_TRUE(dsp2.started());
   EXPECT_EQ(dsp2.state_name(), "Idle");
 }

@@ -73,7 +73,7 @@ const Fixture& fixture(long c_slot = 3900) {
   return *slot;
 }
 
-std::string simulate_payload(const Fixture& f, serve::BackendChoice backend,
+std::string simulate_payload(const Fixture& f, sim::Backend backend,
                              bool want_log = false) {
   serve::SimulateRequest q;
   q.model_xml = f.xml;
@@ -144,7 +144,7 @@ std::string temp_dir(const std::string& stem) {
 TEST(ServeProtocol, SimulateRequestRoundTrip) {
   serve::SimulateRequest q;
   q.model_xml = "<model/>";
-  q.backend = serve::BackendChoice::Native;
+  q.backend = sim::Backend::Native;
   q.horizon = 123'456;
   q.has_seed = true;
   q.seed = 99;
@@ -158,7 +158,7 @@ TEST(ServeProtocol, SimulateRequestRoundTrip) {
   const serve::SimulateRequest d = serve::SimulateRequest::decode(r);
   EXPECT_TRUE(r.done());
   EXPECT_EQ(d.model_xml, q.model_xml);
-  EXPECT_EQ(d.backend, serve::BackendChoice::Native);
+  EXPECT_EQ(d.backend, sim::Backend::Native);
   EXPECT_EQ(d.horizon, q.horizon);
   EXPECT_TRUE(d.has_seed);
   EXPECT_EQ(d.seed, 99u);
@@ -345,11 +345,28 @@ TEST(ServeEngine, MalformedPayloadTagged) {
   }
 }
 
+TEST(ServeEngine, UnknownBackendWordTagged) {
+  serve::Engine engine(sim::ResourceProfile::unbounded());
+  const std::string resp = engine.handle(
+      simulate_payload(fixture(), static_cast<sim::Backend>(7)));
+  serve::wire::Reader r(resp);
+  EXPECT_EQ(r.u32(), 1u);
+  EXPECT_EQ(r.str(), "serve.request.backend");
+  try {
+    serve::decode_response(resp);
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("[serve.request.backend]"),
+              std::string::npos);
+  }
+  EXPECT_EQ(engine_stats(engine).builds, 0u);  // rejected before the cache
+}
+
 TEST(ServeEngine, ColdWarmAndPostEvictionDigestsIdentical) {
   serve::Engine engine(sim::ResourceProfile::unbounded());
   const auto& f = fixture();
   const std::string payload =
-      simulate_payload(f, serve::BackendChoice::Interpreter, true);
+      simulate_payload(f, sim::Backend::Interpreter, true);
 
   std::string reference_log;
   const std::uint64_t reference = direct_digest(f, &reference_log);
@@ -396,9 +413,9 @@ TEST(ServeEngine, NativeBackendMatchesInterpreter) {
   const auto& f = fixture();
 
   const serve::SimulateResponse interp = simulate(
-      engine, simulate_payload(f, serve::BackendChoice::Interpreter, true));
+      engine, simulate_payload(f, sim::Backend::Interpreter, true));
   const serve::SimulateResponse native_cold = simulate(
-      engine, simulate_payload(f, serve::BackendChoice::Native, true));
+      engine, simulate_payload(f, sim::Backend::Native, true));
   EXPECT_FALSE(native_cold.warm);
   EXPECT_EQ(native_cold.backend_name, "native");
   EXPECT_NE(native_cold.image_hash, 0u);
@@ -406,7 +423,7 @@ TEST(ServeEngine, NativeBackendMatchesInterpreter) {
   EXPECT_EQ(native_cold.log_text, interp.log_text);
 
   const serve::SimulateResponse native_warm = simulate(
-      engine, simulate_payload(f, serve::BackendChoice::Native, true));
+      engine, simulate_payload(f, sim::Backend::Native, true));
   EXPECT_TRUE(native_warm.warm);
   EXPECT_EQ(native_warm.image_hash, native_cold.image_hash);
   EXPECT_EQ(native_warm.digest, interp.digest);
@@ -542,7 +559,7 @@ TEST(ServeServer, ClientRoundTripAndShutdown) {
   {
     serve::Client client("127.0.0.1", server.port());
     const std::string body =
-        client.call(simulate_payload(f, serve::BackendChoice::Interpreter));
+        client.call(simulate_payload(f, sim::Backend::Interpreter));
     serve::wire::Reader r(body);
     const serve::SimulateResponse p = serve::SimulateResponse::decode(r);
     EXPECT_FALSE(p.warm);
@@ -558,7 +575,7 @@ TEST(ServeServer, ClientRoundTripAndShutdown) {
     // A second connection sees the warm cache, then shuts the daemon down.
     serve::Client client("127.0.0.1", server.port());
     const std::string warm_body =
-        client.call(simulate_payload(f, serve::BackendChoice::Interpreter));
+        client.call(simulate_payload(f, sim::Backend::Interpreter));
     serve::wire::Reader r(warm_body);
     EXPECT_TRUE(serve::SimulateResponse::decode(r).warm);
 

@@ -395,7 +395,7 @@ TEST_F(SimFixture, RunCanBeResumedWithHigherHorizon) {
 TEST_F(SimFixture, InstanceInspection) {
   Simulation sim(view, {.horizon = 150'000});
   sim.run();
-  const efsm::CompiledInstance& dsp1 = sim.instance("dsp1");
+  const ProcExecutor& dsp1 = sim.instance("dsp1");
   EXPECT_TRUE(dsp1.started());
   EXPECT_GT(dsp1.variable("n"), 0);
   EXPECT_THROW((void)sim.instance("nosuch"), std::out_of_range);

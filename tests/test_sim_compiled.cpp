@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "codegen/native.hpp"
 #include "sim/backend.hpp"
 #include "sim/batch.hpp"
 #include "sim/campaign.hpp"
@@ -248,69 +249,39 @@ TEST(CompiledSim, StatsMatchAstPath) {
   }
 }
 
-namespace {
-
-/// A BackendImage whose executors wrap the bytecode interpreter: stands in
-/// for a native image wherever only the out-of-line dispatch matters.
-class BytecodeImage final : public BackendImage {
- public:
-  explicit BytecodeImage(std::shared_ptr<const CompiledModel> model)
-      : model_(std::move(model)) {}
-  std::shared_ptr<const CompiledModel> model() const override {
-    return model_;
-  }
-  std::unique_ptr<ProcExecutor> make_executor(
-      std::uint32_t proc) const override {
-    const CompiledModel::ProcInfo& info = model_->procs()[proc];
-    return std::make_unique<Executor>(*info.machine, info.name);
-  }
-  std::string_view name() const override { return "bytecode-stub"; }
-  std::uint64_t content_hash() const override { return 1; }
-
- private:
-  struct Executor final : ProcExecutor {
-    Executor(const efsm::CompiledMachine& m, std::string n)
-        : inst(m, std::move(n)) {}
-    efsm::StepResult start() override { return inst.start(); }
-    efsm::StepResult reset() override { return inst.reset(); }
-    efsm::StepResult deliver(const efsm::Event& e) override {
-      return inst.deliver(e);
-    }
-    efsm::StepResult timer_fired(const std::string& t) override {
-      return inst.timer_fired(t);
-    }
-    void rewind() override { inst.rewind(); }
-    efsm::CompiledInstance inst;
-  };
-  std::shared_ptr<const CompiledModel> model_;
-};
-
-}  // namespace
-
-TEST(CompiledSim, InstanceAccessorThrowsOnlyForBackendImage) {
+TEST(CompiledSim, InstanceAccessorWorksOnEveryBackend) {
   const auto sys = make_tutmac(1'000'000);
   mapping::SystemView view(*sys.model);
   Config config;
   config.horizon = sys.options.horizon;
   const auto model = CompiledModel::build(view);
-  Simulation compiled(model, config);
-  sys.inject_workload(compiled);
-  compiled.run();
+  Simulation interpreted(interpreter_image(model), config);
+  sys.inject_workload(interpreted);
+  interpreted.run();
   const auto from_view = run_from_view(sys, view, config);
 
-  const efsm::CompiledInstance& rca = compiled.instance("rca");
+  const ProcExecutor& rca = interpreted.instance("rca");
+  EXPECT_TRUE(rca.started());
   EXPECT_FALSE(rca.state_name().empty());
   EXPECT_EQ(rca.state_name(), from_view->instance("rca").state_name());
   EXPECT_EQ(rca.variable("slotcnt"),
             from_view->instance("rca").variable("slotcnt"));
-  EXPECT_THROW((void)compiled.instance("nosuch"), std::out_of_range);
+  EXPECT_THROW((void)rca.variable("nosuch"), std::out_of_range);
+  EXPECT_THROW((void)interpreted.instance("nosuch"), std::out_of_range);
 
-  Simulation image(std::make_shared<const BytecodeImage>(model), config);
-  sys.inject_workload(image);
-  image.run();
-  EXPECT_EQ(image.log().to_text(), compiled.log().to_text());
-  EXPECT_THROW((void)image.instance("rca"), std::logic_error);
-  EXPECT_THROW((void)image.instance("nosuch"), std::out_of_range);
+  if (codegen::NativeImage::find_compiler().empty()) {
+    GTEST_SKIP() << "no C++ compiler on this host";
+  }
+  Simulation native(codegen::NativeImage::build(model), config);
+  sys.inject_workload(native);
+  native.run();
+  EXPECT_EQ(native.log().to_text(), interpreted.log().to_text());
+  const ProcExecutor& native_rca = native.instance("rca");
+  EXPECT_TRUE(native_rca.started());
+  EXPECT_EQ(native_rca.state_name(), rca.state_name());
+  EXPECT_EQ(native_rca.variable("slotcnt"), rca.variable("slotcnt"));
+  EXPECT_THROW((void)native_rca.variable("nosuch"), std::out_of_range);
+  EXPECT_THROW((void)native.instance("nosuch"), std::out_of_range);
 }
 
 // ---------------------------------------------------------------------------

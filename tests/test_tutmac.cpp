@@ -168,7 +168,7 @@ TEST(TutmacSimulation, ShortRunProducesTraffic) {
   const auto simulation = sys.simulate(view);
   EXPECT_GT(simulation->log().size(), 100u);
   // The radio path executed.
-  const efsm::CompiledInstance& rca = simulation->instance("rca");
+  const sim::ProcExecutor& rca = simulation->instance("rca");
   EXPECT_GT(rca.variable("slotcnt"), 10);
   // Cross-bridge CRC traffic happened.
   EXPECT_GT(simulation->segment_stats().at("bridge").transfers, 0u);

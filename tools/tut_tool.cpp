@@ -82,6 +82,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -164,26 +165,65 @@ sim::ResourceProfile resolve_profile(const std::string& spec) {
   return sim::ResourceProfile::by_name(spec);
 }
 
-/// Resolves --backend for one compiled image. "native" emits + compiles (or
-/// reuses the cached .so); when that fails — typically no C++ compiler on
-/// the host — the tagged diagnostic goes to stderr and the caller falls
-/// back to the interpreter (null return). Simulation results are
-/// byte-identical either way; only throughput differs.
-std::shared_ptr<const sim::BackendImage> make_backend(
-    const std::string& backend,
-    const std::shared_ptr<const sim::CompiledModel>& model) {
-  if (backend.empty() || backend == "interpreter") return nullptr;
-  if (backend != "native") {
-    throw std::invalid_argument("unknown --backend '" + backend +
-                                "' (interpreter, native)");
+/// Reads a "--backend VALUE" or "--backend=VALUE" flag at args[i] into
+/// `out`, advancing i past its value. Returns false when args[i] is not
+/// that flag; an unknown VALUE leaves `out` empty (the caller's usage()).
+bool backend_flag(const std::vector<std::string>& args, std::size_t& i,
+                  std::optional<sim::Backend>& out) {
+  std::string value;
+  if (args[i] == "--backend" && i + 1 < args.size()) {
+    value = args[++i];
+  } else if (args[i].rfind("--backend=", 0) == 0) {
+    value = args[i].substr(10);
+  } else {
+    return false;
   }
-  try {
-    return codegen::NativeImage::build(model);
-  } catch (const std::exception& e) {
-    std::cerr << "tut: " << e.what()
-              << "\ntut: falling back to the interpreter backend\n";
-    return nullptr;
+  out.reset();
+  if (value == "interpreter") out = sim::Backend::Interpreter;
+  if (value == "native") out = sim::Backend::Native;
+  return true;
+}
+
+/// Resolves --backend for the compiled models of one run (one per swept
+/// mapping). Native emits + compiles (or reuses the cached .so) each one;
+/// when that fails — typically no C++ compiler on the host — the tagged
+/// diagnostic goes to stderr and every model falls back to the interpreter
+/// together (a half-native campaign would make the provenance ambiguous).
+/// Simulation results are byte-identical either way; only throughput
+/// differs.
+std::vector<std::shared_ptr<const sim::BackendImage>> make_images(
+    sim::Backend backend,
+    const std::vector<std::shared_ptr<const sim::CompiledModel>>& models) {
+  std::vector<std::shared_ptr<const sim::BackendImage>> images;
+  if (backend == sim::Backend::Native) {
+    try {
+      for (const auto& model : models) {
+        images.push_back(codegen::NativeImage::build(model));
+      }
+      return images;
+    } catch (const std::exception& e) {
+      std::cerr << "tut: " << e.what()
+                << "\ntut: falling back to the interpreter backend\n";
+      images.clear();
+    }
   }
+  for (const auto& model : models) {
+    images.push_back(sim::interpreter_image(model));
+  }
+  return images;
+}
+
+/// Provenance line: "backend: NAME", plus " (image HASH)" for a generated
+/// image (the interpreter's hash is 0).
+void print_backend(std::string_view name, std::uint64_t image_hash) {
+  std::cout << "backend: " << name;
+  if (image_hash != 0) {
+    char hex[32];
+    std::snprintf(hex, sizeof hex, " (image %016llx)",
+                  static_cast<unsigned long long>(image_hash));
+    std::cout << hex;
+  }
+  std::cout << '\n';
 }
 
 int cmd_efsm_dump(const std::string& path, const std::string& machine_name) {
@@ -467,7 +507,7 @@ int cmd_profile(const std::string& model_path, const std::string& log_path) {
 int cmd_simulate_tutmac(const std::string& outdir, long horizon_ms,
                         const std::string& faults_path, long seed,
                         std::size_t batch, std::size_t threads,
-                        const std::string& backend,
+                        sim::Backend backend,
                         const std::string& profile_spec) {
   const sim::ResourceProfile profile = resolve_profile(profile_spec);
   if (!profile_spec.empty()) {
@@ -488,32 +528,23 @@ int cmd_simulate_tutmac(const std::string& outdir, long horizon_ms,
 
   std::string log_text;
   std::uint64_t events = 0;
+  // Lower the model once; batch mode fans the scenarios out over it.
+  const auto compiled = sim::CompiledModel::build(view);
+  const std::shared_ptr<const sim::BackendImage> image =
+      make_images(backend, {compiled}).front();
   if (batch <= 1) {
-    std::unique_ptr<sim::Simulation> simulation;
-    std::shared_ptr<const sim::BackendImage> image;
-    if (backend == "native") {
-      image = make_backend(backend, sim::CompiledModel::build(view));
+    // A single interpreter run prints no provenance line.
+    if (image->content_hash() != 0) {
+      print_backend(image->name(), image->content_hash());
     }
-    if (image) {
-      char line[64];
-      std::snprintf(line, sizeof line, "backend: native (image %016llx)\n",
-                    static_cast<unsigned long long>(image->content_hash()));
-      std::cout << line;
-      simulation = std::make_unique<sim::Simulation>(image, config);
-    } else {
-      simulation = std::make_unique<sim::Simulation>(view, config);
-    }
-    sys.inject_workload(*simulation);
-    simulation->run();
-    log_text = simulation->log().to_text();
-    events = simulation->events_dispatched();
+    sim::Simulation simulation(image, config);
+    sys.inject_workload(simulation);
+    simulation.run();
+    log_text = simulation.log().to_text();
+    events = simulation.events_dispatched();
   } else {
-    // Batch mode: lower the model once, fan the scenarios out. Scenario i
-    // perturbs only the fault seed, so without a fault plan all rows hash
-    // identically (itself a useful determinism check).
-    const auto compiled = sim::CompiledModel::build(view);
-    const std::shared_ptr<const sim::BackendImage> image =
-        make_backend(backend, compiled);
+    // Scenario i perturbs only the fault seed, so without a fault plan all
+    // rows hash identically (itself a useful determinism check).
     std::vector<sim::BatchScenario> scenarios;
     for (std::size_t i = 0; i < batch; ++i) {
       sim::BatchScenario s;
@@ -529,8 +560,7 @@ int cmd_simulate_tutmac(const std::string& outdir, long horizon_ms,
     sim::BatchOptions options;
     options.threads = threads;
     options.profile = profile;
-    const sim::BatchRunner runner = image ? sim::BatchRunner(image, options)
-                                          : sim::BatchRunner(compiled, options);
+    const sim::BatchRunner runner(image, options);
     const auto results = runner.run(scenarios);
 
     std::cout << "batch of " << batch << " scenarios over "
@@ -538,14 +568,7 @@ int cmd_simulate_tutmac(const std::string& outdir, long horizon_ms,
     // Provenance row: which executor produced these hashes (BatchResult
     // carries it per scenario; one image ⇒ one line).
     if (!results.empty()) {
-      std::cout << "backend: " << results[0].backend;
-      if (results[0].image_hash != 0) {
-        char hex[32];
-        std::snprintf(hex, sizeof hex, " (image %016llx)",
-                      static_cast<unsigned long long>(results[0].image_hash));
-        std::cout << hex;
-      }
-      std::cout << '\n';
+      print_backend(results[0].backend, results[0].image_hash);
     }
     std::cout << "scenario        events    records   end(ms)   log-hash\n";
     for (const sim::BatchResult& r : results) {
@@ -623,8 +646,7 @@ int print_campaign_result(const sim::CampaignResult& result) {
 }
 
 int cmd_campaign_tutmac(const std::string& campaign_path,
-                        sim::CampaignOptions options,
-                        const std::string& backend,
+                        sim::CampaignOptions options, sim::Backend backend,
                         const std::string& profile_spec) {
   options.profile = resolve_profile(profile_spec);
   if (!profile_spec.empty()) {
@@ -649,39 +671,22 @@ int cmd_campaign_tutmac(const std::string& campaign_path,
   std::vector<std::string> mapping_names = spec.mapping_names;
   if (mapping_names.empty()) mapping_names.push_back("paper");
   std::vector<tutmac::System> systems;
-  std::vector<std::shared_ptr<const sim::CompiledModel>> images;
+  std::vector<std::shared_ptr<const sim::CompiledModel>> models;
   for (const std::string& name : mapping_names) {
     tutmac::Options opt;
     opt.mapping = tutmac_mapping_choice(name);
     systems.push_back(tutmac::build(opt));
     mapping::SystemView view(*systems.back().model);
-    images.push_back(sim::CompiledModel::build(view));
+    models.push_back(sim::CompiledModel::build(view));
   }
-
-  // --backend=native wraps every compiled image in a generated NativeImage.
-  // All images fall back together: a half-native campaign would make the
-  // provenance column ambiguous.
-  std::vector<std::shared_ptr<const sim::BackendImage>> backends;
-  if (backend == "native") {
-    backends.reserve(images.size());
-    for (const auto& image : images) {
-      const auto native = make_backend(backend, image);
-      if (!native) {
-        backends.clear();
-        break;
-      }
-      backends.push_back(native);
-    }
-  } else if (!backend.empty() && backend != "interpreter") {
-    throw std::invalid_argument("unknown --backend '" + backend +
-                                "' (interpreter, native)");
-  }
-  std::cout << "backend: " << (backends.empty() ? "interpreter" : "native");
-  for (std::size_t i = 0; i < backends.size(); ++i) {
+  std::vector<std::shared_ptr<const sim::BackendImage>> images =
+      make_images(backend, models);
+  std::cout << "backend: " << images.front()->name();
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    if (images[i]->content_hash() == 0) continue;
     char hex[48];
     std::snprintf(hex, sizeof hex, " %s=%016llx", mapping_names[i].c_str(),
-                  static_cast<unsigned long long>(
-                      backends[i]->content_hash()));
+                  static_cast<unsigned long long>(images[i]->content_hash()));
     std::cout << hex;
   }
   std::cout << '\n';
@@ -699,9 +704,7 @@ int cmd_campaign_tutmac(const std::string& campaign_path,
             sc.param("msduPeriod", static_cast<long>(o.msdu_period)));
         sys.inject_workload(simulation, o);
       };
-  const sim::CampaignRunner runner =
-      backends.empty() ? sim::CampaignRunner(std::move(images), setup)
-                       : sim::CampaignRunner(std::move(backends), setup);
+  const sim::CampaignRunner runner(std::move(images), setup);
 
   const sim::CampaignResult result = runner.run(spec, options);
   for (const std::string& note : result.notes) {
@@ -835,15 +838,14 @@ int cmd_serve(std::uint16_t port, const std::string& profile_spec,
 
 int cmd_client_simulate_tutmac(std::uint16_t port, const std::string& outdir,
                                long horizon_ms, const std::string& faults_path,
-                               long seed, const std::string& backend) {
+                               long seed, sim::Backend backend) {
   tutmac::Options opt;
   opt.horizon = static_cast<sim::Time>(horizon_ms) * 1'000'000;
   const tutmac::System sys = tutmac::build(opt);
 
   serve::SimulateRequest q;
   q.model_xml = uml::to_xml_string(*sys.model);
-  q.backend = backend == "native" ? serve::BackendChoice::Native
-                                  : serve::BackendChoice::Interpreter;
+  q.backend = backend;
   q.horizon = opt.horizon;
   if (!faults_path.empty()) q.faults_xml = read_file(faults_path);
   if (seed >= 0) {
@@ -858,15 +860,8 @@ int cmd_client_simulate_tutmac(std::uint16_t port, const std::string& outdir,
   serve::wire::Reader r(body);
   const serve::SimulateResponse p = serve::SimulateResponse::decode(r);
 
-  std::cout << "cache: " << (p.warm ? "warm" : "cold") << '\n'
-            << "backend: " << p.backend_name;
-  if (p.image_hash != 0) {
-    char hex[32];
-    std::snprintf(hex, sizeof hex, " (image %016llx)",
-                  static_cast<unsigned long long>(p.image_hash));
-    std::cout << hex;
-  }
-  std::cout << '\n';
+  std::cout << "cache: " << (p.warm ? "warm" : "cold") << '\n';
+  print_backend(p.backend_name, p.image_hash);
 
   std::filesystem::create_directories(outdir);
   {
@@ -905,11 +900,10 @@ int cmd_client_lint(std::uint16_t port, const std::string& model_path,
 int cmd_client_campaign_tutmac(std::uint16_t port,
                                const std::string& campaign_path,
                                std::uint32_t threads,
-                               const std::string& backend) {
+                               sim::Backend backend) {
   serve::CampaignRequest q;
   q.campaign_xml = read_file(campaign_path);
-  q.backend = backend == "native" ? serve::BackendChoice::Native
-                                  : serve::BackendChoice::Interpreter;
+  q.backend = backend;
   q.threads = threads;
 
   // Parse the sweep locally once: to learn which mapping images to ship and
@@ -1039,7 +1033,7 @@ int main(int argc, char** argv) {
       long seed = -1;  // negative: keep the plan's own seed
       std::size_t batch = 1;
       std::size_t threads = 0;
-      std::string backend;
+      std::optional<sim::Backend> backend = sim::Backend::Interpreter;
       std::string profile_spec;
       std::size_t i = 3;
       if (i < args.size() && args[i][0] != '-') ms = std::stol(args[i++]);
@@ -1052,12 +1046,8 @@ int main(int argc, char** argv) {
           batch = static_cast<std::size_t>(std::stoul(args[++i]));
         } else if (args[i] == "--threads" && i + 1 < args.size()) {
           threads = static_cast<std::size_t>(std::stoul(args[++i]));
-        } else if (args[i] == "--backend" && i + 1 < args.size()) {
-          backend = args[++i];
-          if (backend != "interpreter" && backend != "native") return usage();
-        } else if (args[i].rfind("--backend=", 0) == 0) {
-          backend = args[i].substr(10);
-          if (backend != "interpreter" && backend != "native") return usage();
+        } else if (backend_flag(args, i, backend)) {
+          if (!backend) return usage();
         } else if (args[i] == "--profile" && i + 1 < args.size()) {
           profile_spec = args[++i];
         } else if (args[i].rfind("--profile=", 0) == 0) {
@@ -1068,7 +1058,7 @@ int main(int argc, char** argv) {
         ++i;
       }
       return cmd_simulate_tutmac(args[2], ms, faults_path, seed, batch,
-                                 threads, backend, profile_spec);
+                                 threads, *backend, profile_spec);
     }
     if (cmd == "campaign" && args.size() >= 3 && args[1] == "merge") {
       return cmd_campaign_merge(
@@ -1076,16 +1066,12 @@ int main(int argc, char** argv) {
     }
     if (cmd == "campaign" && args.size() >= 3 && args[1] == "tutmac") {
       sim::CampaignOptions options;
-      std::string backend;
+      std::optional<sim::Backend> backend = sim::Backend::Interpreter;
       std::string profile_spec;
       bool dry_run = false;
       for (std::size_t i = 3; i < args.size(); ++i) {
-        if (args[i] == "--backend" && i + 1 < args.size()) {
-          backend = args[++i];
-          if (backend != "interpreter" && backend != "native") return usage();
-        } else if (args[i].rfind("--backend=", 0) == 0) {
-          backend = args[i].substr(10);
-          if (backend != "interpreter" && backend != "native") return usage();
+        if (backend_flag(args, i, backend)) {
+          if (!backend) return usage();
         } else if (args[i] == "--profile" && i + 1 < args.size()) {
           profile_spec = args[++i];
         } else if (args[i].rfind("--profile=", 0) == 0) {
@@ -1113,7 +1099,7 @@ int main(int argc, char** argv) {
         }
       }
       if (dry_run) return cmd_campaign_dry_run(args[2], profile_spec);
-      return cmd_campaign_tutmac(args[2], options, backend, profile_spec);
+      return cmd_campaign_tutmac(args[2], options, *backend, profile_spec);
     }
     if (cmd == "serve") {
       std::uint16_t port = 0;
@@ -1154,7 +1140,8 @@ int main(int argc, char** argv) {
       const std::string& sub = rest[0];
       if (sub == "simulate" && rest.size() >= 3 && rest[1] == "tutmac") {
         long ms = 20;
-        std::string faults_path, backend;
+        std::string faults_path;
+        std::optional<sim::Backend> backend = sim::Backend::Interpreter;
         long seed = -1;
         std::size_t i = 3;
         if (i < rest.size() && rest[i][0] != '-') ms = std::stol(rest[i++]);
@@ -1163,17 +1150,15 @@ int main(int argc, char** argv) {
             faults_path = rest[++i];
           } else if (rest[i] == "--seed" && i + 1 < rest.size()) {
             seed = std::stol(rest[++i]);
-          } else if (rest[i] == "--backend" && i + 1 < rest.size()) {
-            backend = rest[++i];
-          } else if (rest[i].rfind("--backend=", 0) == 0) {
-            backend = rest[i].substr(10);
+          } else if (backend_flag(rest, i, backend)) {
+            if (!backend) return usage();
           } else {
             return usage();
           }
           ++i;
         }
         return cmd_client_simulate_tutmac(port, rest[2], ms, faults_path,
-                                          seed, backend);
+                                          seed, *backend);
       }
       if (sub == "lint" && rest.size() >= 2) {
         bool json = false, werror = false;
@@ -1190,19 +1175,17 @@ int main(int argc, char** argv) {
       }
       if (sub == "campaign" && rest.size() >= 3 && rest[1] == "tutmac") {
         std::uint32_t threads = 0;
-        std::string backend;
+        std::optional<sim::Backend> backend = sim::Backend::Interpreter;
         for (std::size_t i = 3; i < rest.size(); ++i) {
           if (rest[i] == "--threads" && i + 1 < rest.size()) {
             threads = static_cast<std::uint32_t>(std::stoul(rest[++i]));
-          } else if (rest[i] == "--backend" && i + 1 < rest.size()) {
-            backend = rest[++i];
-          } else if (rest[i].rfind("--backend=", 0) == 0) {
-            backend = rest[i].substr(10);
+          } else if (backend_flag(rest, i, backend)) {
+            if (!backend) return usage();
           } else {
             return usage();
           }
         }
-        return cmd_client_campaign_tutmac(port, rest[2], threads, backend);
+        return cmd_client_campaign_tutmac(port, rest[2], threads, *backend);
       }
       if (sub == "stats" && rest.size() == 1) {
         return cmd_client_admin(port, "stats", false, 0);
