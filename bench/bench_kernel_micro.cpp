@@ -1,11 +1,18 @@
 // A4 (part 1): microbenchmarks of the execution substrates — event kernel
-// throughput, EFSM dispatch, expression evaluation, log append/parse.
+// throughput, EFSM dispatch, expression evaluation, log append/parse,
+// log render and digest.
+#include <memory>
+
 #include "bench_util.hpp"
 #include "efsm/machine.hpp"
 #include "efsm/program.hpp"
+#include "intern/fnv.hpp"
+#include "mapping/mapping.hpp"
 #include "sim/event.hpp"
 #include "sim/kernel.hpp"
 #include "sim/log.hpp"
+#include "sim/simulator.hpp"
+#include "tutmac/tutmac.hpp"
 #include "uml/model.hpp"
 
 using namespace tut;
@@ -232,6 +239,67 @@ void BM_LogParse(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_LogParse)->Unit(benchmark::kMicrosecond);
+
+/// The log of one campaign-sized TUTMAC run (2 ms of modelled time, 73
+/// records, 1.9 KB): the shape of log every campaign scenario digests.
+const sim::SimulationLog& tutmac_log() {
+  static const std::unique_ptr<sim::Simulation> simulation = [] {
+    tutmac::Options opt;
+    opt.horizon = 2'000'000;
+    const tutmac::System sys = tutmac::build(opt);
+    const mapping::SystemView view(*sys.model);
+    sim::Config config;
+    config.horizon = opt.horizon;
+    auto s = std::make_unique<sim::Simulation>(view, config);
+    sys.inject_workload(*s);
+    s->run();
+    return s;
+  }();
+  return simulation->log();
+}
+
+void set_log_counters(benchmark::State& state, const sim::SimulationLog& log,
+                      std::size_t bytes) {
+  state.counters["records"] = static_cast<double>(log.size());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+
+// The render alone, into a reused buffer (to_text's campaign/batch form).
+void BM_LogRender(benchmark::State& state) {
+  const sim::SimulationLog& log = tutmac_log();
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    log.to_text(out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  set_log_counters(state, log, out.size());
+}
+BENCHMARK(BM_LogRender)->Unit(benchmark::kMicrosecond);
+
+// The digest the old way: render the text, then FNV-1a over it.
+void BM_LogDigestViaText(benchmark::State& state) {
+  const sim::SimulationLog& log = tutmac_log();
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    log.to_text(out);
+    benchmark::DoNotOptimize(intern::Fnv::of(out));
+  }
+  set_log_counters(state, log, out.size());
+}
+BENCHMARK(BM_LogDigestViaText)->Unit(benchmark::kMicrosecond);
+
+// The same value fused: each piece of each line is folded into FNV-1a as
+// the formatter emits it; no text is built.
+void BM_LogDigest(benchmark::State& state) {
+  const sim::SimulationLog& log = tutmac_log();
+  for (auto _ : state) benchmark::DoNotOptimize(log.digest());
+  set_log_counters(state, log, log.to_text().size());
+}
+BENCHMARK(BM_LogDigest)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

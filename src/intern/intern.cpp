@@ -8,8 +8,8 @@ Id Table::intern(std::string_view name) {
   auto it = index_.find(name);
   if (it != index_.end()) return it->second;
   const Id id = static_cast<Id>(names_.size());
-  names_.emplace_back(name);
-  index_.emplace(std::string_view(names_.back()), id);
+  views_.push_back(names_.emplace_back(name));
+  index_.emplace(views_.back(), id);
   return id;
 }
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 namespace tut::intern {
 
@@ -26,6 +27,14 @@ inline constexpr Id kNoId = 0xffffffffu;
 /// threads once fully built (all members are const-qualified reads).
 class Table {
  public:
+  Table() = default;
+  // The views and the index point into names_: a copy would point into the
+  // source table. Moving keeps the deque's elements where they are.
+  Table(const Table&) = delete;
+  Table& operator=(const Table&) = delete;
+  Table(Table&&) = default;
+  Table& operator=(Table&&) = default;
+
   /// Id of `name`, interning it on first sight.
   Id intern(std::string_view name);
 
@@ -38,6 +47,13 @@ class Table {
   /// Number of distinct names interned (== one past the largest id).
   std::size_t size() const noexcept { return names_.size(); }
 
+  /// Every name as a view, indexed by id, for callers that look up many
+  /// ids without a checked name() call per id. The views stay valid as long
+  /// as the table (interning never moves a name).
+  const std::vector<std::string_view>& views() const noexcept {
+    return views_;
+  }
+
  private:
   struct Hash {
     std::size_t operator()(std::string_view s) const noexcept {
@@ -46,8 +62,9 @@ class Table {
   };
 
   // The deque owns the strings; deque push_back never relocates existing
-  // elements, so the map's string_view keys stay valid.
+  // elements, so the views and the map's string_view keys stay valid.
   std::deque<std::string> names_;
+  std::vector<std::string_view> views_;  // views_[id] == names_[id]
   std::unordered_map<std::string_view, Id, Hash> index_;
 };
 

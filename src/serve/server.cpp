@@ -163,8 +163,14 @@ std::string Engine::do_simulate(wire::Reader& r) {
   p.events = simulation->events_dispatched();
   p.records = simulation->log().size();
   p.end_time = simulation->now();
-  p.digest = sim::log_digest(simulation->log());
-  if (q.want_log) p.log_text = simulation->log().to_text();
+  // The log is rendered only when the client asked for it; the digest is
+  // the hash of that same text, so it is never rendered twice.
+  if (q.want_log) {
+    p.log_text = simulation->log().to_text();
+    p.digest = sim::BatchRunner::hash_text(p.log_text);
+  } else {
+    p.digest = sim::log_digest(simulation->log());
+  }
   cache_.release_context(acq.entry, std::move(simulation));
   return ok_response(p.encode());
 }

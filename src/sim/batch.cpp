@@ -45,8 +45,7 @@ std::uint64_t BatchRunner::hash_text(std::string_view text) noexcept {
 }
 
 BatchResult BatchRunner::run_one(const BatchScenario& scenario,
-                                 std::unique_ptr<Simulation>& context,
-                                 std::string& scratch) const {
+                                 std::unique_ptr<Simulation>& context) const {
   BatchResult result;
   result.name = scenario.name;
   result.backend = image_->name();
@@ -70,22 +69,23 @@ BatchResult BatchRunner::run_one(const BatchScenario& scenario,
     result.end_time = simulation.now();
     result.events = simulation.events_dispatched();
     result.records = simulation.log().size();
-    // Hash-and-release: the log is rendered into the worker's reusable
-    // scratch buffer, hashed, and only *copied out* when the caller opted
-    // into retained logs. Resident log memory is O(threads), never O(runs).
-    scratch.clear();
-    simulation.log().to_text(scratch);
-    result.log_hash = hash_text(scratch);
+    // Hash-and-release: the log is hashed without rendering it, and only
+    // rendered when the caller opted into retained logs. Resident log memory
+    // is O(threads), never O(runs).
     if (options_.keep_logs) {
+      std::string text = simulation.log().to_text();
       if (options_.profile.keep_log_bytes != 0 &&
-          scratch.size() > options_.profile.keep_log_bytes) {
+          text.size() > options_.profile.keep_log_bytes) {
         throw EnvelopeError(
             "envelope.log.overflow", simulation.now(),
-            "retained log of " + std::to_string(scratch.size()) +
+            "retained log of " + std::to_string(text.size()) +
                 " bytes exceeds the keep_logs budget of " +
                 std::to_string(options_.profile.keep_log_bytes) + " bytes");
       }
-      result.log_text = scratch;
+      result.log_hash = hash_text(text);
+      result.log_text = std::move(text);
+    } else {
+      result.log_hash = simulation.log().digest();
     }
     result.pe_stats = simulation.pe_stats();
     result.segment_stats = simulation.segment_stats();
@@ -120,20 +120,18 @@ std::vector<BatchResult> BatchRunner::run(
   const std::size_t workers = std::min(threads_, scenarios.size());
   if (workers <= 1) {
     std::unique_ptr<Simulation> context;
-    std::string scratch;
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      results[i] = run_one(scenarios[i], context, scratch);
+      results[i] = run_one(scenarios[i], context);
     }
     return results;
   }
   PaddedIndex next;
   auto work = [&]() {
     std::unique_ptr<Simulation> context;
-    std::string scratch;
     for (std::size_t i = next.value.fetch_add(1, std::memory_order_relaxed);
          i < scenarios.size();
          i = next.value.fetch_add(1, std::memory_order_relaxed)) {
-      results[i] = run_one(scenarios[i], context, scratch);
+      results[i] = run_one(scenarios[i], context);
     }
   };
   std::vector<std::thread> pool;

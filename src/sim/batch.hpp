@@ -7,8 +7,8 @@
 // each worker keeps one reusable Simulation context over the shared
 // read-only model (Simulation::reset between runs), and every worker writes
 // only its own result slot. Results are therefore indexed by scenario and
-// byte-identical whether threads = 1 or 64. Logs are hashed in a reusable
-// buffer and released; BatchOptions::keep_logs opts into retaining them.
+// byte-identical whether threads = 1 or 64. Logs are hashed without being
+// rendered and released; BatchOptions::keep_logs opts into retaining them.
 #pragma once
 
 #include <cstdint>
@@ -96,11 +96,10 @@ class BatchRunner {
 
  private:
   /// Runs one scenario on a reusable per-worker context (constructed on the
-  /// first call, Simulation::reset thereafter) with a reusable render
-  /// buffer — per-run cost and memory are independent of the batch size.
+  /// first call, Simulation::reset thereafter) — per-run cost and memory are
+  /// independent of the batch size.
   BatchResult run_one(const BatchScenario& scenario,
-                      std::unique_ptr<Simulation>& context,
-                      std::string& scratch) const;
+                      std::unique_ptr<Simulation>& context) const;
 
   std::shared_ptr<const BackendImage> image_;
   BatchOptions options_;

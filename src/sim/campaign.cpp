@@ -180,15 +180,10 @@ P2Quantile P2Quantile::deserialize(std::string_view bytes,
 // Digest and aggregate
 // ---------------------------------------------------------------------------
 
-std::uint64_t log_digest(const SimulationLog& log, std::string& scratch) {
-  scratch.clear();
-  log.to_text(scratch);
-  return Fnv::of(scratch);
-}
+std::uint64_t log_digest(const SimulationLog& log) { return log.digest(); }
 
-std::uint64_t log_digest(const SimulationLog& log) {
-  std::string scratch;
-  return log_digest(log, scratch);
+std::uint64_t log_digest(const SimulationLog& log, std::string&) {
+  return log.digest();
 }
 
 void CampaignAggregate::add(const ScenarioSummary& s) {
@@ -1018,7 +1013,6 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec,
   // reset, so resident memory is O(threads · images), not O(scenarios).
   const auto worker = [&]() {
     std::vector<std::unique_ptr<Simulation>> ctxs(images_.size());
-    std::string scratch;
     for (;;) {
       const std::uint64_t i =
           st.claim.value.fetch_add(1, std::memory_order_relaxed);
@@ -1058,7 +1052,7 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec,
         if (setup_) setup_(*ctx, sc);
         ctx->run();
         const SimulationLog& log = ctx->log();
-        s.digest = log_digest(log, scratch);
+        s.digest = log.digest();
         s.events = ctx->events_dispatched();
         s.records = log.size();
         const auto& recs = log.compact_records();

@@ -105,13 +105,15 @@ struct ScenarioSummary {
   std::uint64_t rejection = 0;
 };
 
-/// Canonical FNV-1a digest of a simulation log. Hashes the rendered text —
-/// the *names* behind the interned ids, never the id values — so a reusable
+/// Canonical FNV-1a digest of a simulation log: SimulationLog::digest(),
+/// the hash of the rendered text computed without rendering it. It covers
+/// the *names* behind the interned ids, never the id values, so a reusable
 /// context's persistent name table cannot leak into the digest. Two logs
 /// digest equal iff their rendered text is equal.
 std::uint64_t log_digest(const SimulationLog& log);
-/// Same digest through a caller-owned scratch buffer: the render reuses
-/// `scratch`'s capacity, keeping per-run digesting allocation-free.
+/// A forward to log_digest(log), kept for the callers that still pass a
+/// render buffer (the end-to-end benchmark's campaign replay); the buffer
+/// is unused.
 std::uint64_t log_digest(const SimulationLog& log, std::string& scratch);
 
 /// The campaign-level reduction state. add() must be called in scenario

@@ -1,12 +1,14 @@
 #include "sim/log.hpp"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+
+#include "intern/fnv.hpp"
 
 namespace tut::sim {
 
@@ -220,11 +222,141 @@ void SimulationLog::reserve(std::size_t n) { compact_.reserve(n); }
 
 namespace {
 
-template <typename N>
-void append_num(std::string& out, N value) {
-  char buf[24];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, value);
-  out.append(buf, ptr);
+constexpr std::string_view kHeader = "# tut-simlog v1\n";
+
+/// Bytes a record line needs besides its names: the kind letter, at most
+/// five separators, at most three numbers of at most 20 characters each
+/// (a 64-bit value or a negative long) and the '\n'.
+constexpr std::size_t kLineFixedBytes = 1 + 5 + 3 * 20 + 1;
+/// The render's stack line buffer: it holds every line of a log whose
+/// longest name has at most (kLineBufBytes - kLineFixedBytes) / 3 = 63 bytes.
+constexpr std::size_t kLineBufBytes = 256;
+/// Read size when the spill file is spliced back into a render or a digest.
+constexpr std::size_t kSpillChunkBytes = 16 * 1024;
+
+/// The one per-record formatter, behind render_body (so to_text and the
+/// spill flush) and digest(): emits `r`'s line, '\n' included, piece by piece
+/// into `out`, which takes put(char), put(string_view) and num(value) (a
+/// separating blank, then the decimal value). `names` is the name table as
+/// views; only the fields `r.kind` uses are read, and their ids are valid by
+/// construction.
+template <typename Out>
+void format_line(const SimulationLog::Compact& r,
+                 const std::string_view* names, Out& out) {
+  const auto field = [&](intern::Id id) {
+    out.put(' ');
+    out.put(names[id]);
+  };
+  switch (r.kind) {
+    case LogRecord::Kind::Run:
+      out.put('R');
+      out.num(r.time);
+      field(r.process);
+      out.num(r.cycles);
+      out.num(r.duration);
+      break;
+    case LogRecord::Kind::Send:
+      out.put('S');
+      out.num(r.time);
+      field(r.process);
+      field(r.peer);
+      field(r.signal);
+      out.num(r.bytes);
+      break;
+    case LogRecord::Kind::Receive:
+      out.put('V');
+      out.num(r.time);
+      field(r.process);
+      field(r.peer);
+      field(r.signal);
+      break;
+    case LogRecord::Kind::Drop:
+      out.put('D');
+      out.num(r.time);
+      field(r.process);
+      field(r.signal);
+      break;
+    case LogRecord::Kind::Fault:
+      out.put('F');
+      out.num(r.time);
+      field(r.process);
+      break;
+    case LogRecord::Kind::Clear:
+      out.put('C');
+      out.num(r.time);
+      field(r.process);
+      break;
+    case LogRecord::Kind::Retry:
+      out.put('T');
+      out.num(r.time);
+      field(r.process);
+      field(r.signal);
+      out.num(r.cycles);
+      break;
+    case LogRecord::Kind::Watchdog:
+      out.put('W');
+      out.num(r.time);
+      field(r.process);
+      break;
+    case LogRecord::Kind::Migrate:
+      out.put('M');
+      out.num(r.time);
+      field(r.process);
+      field(r.peer);
+      field(r.signal);
+      break;
+  }
+  out.put('\n');
+}
+
+/// format_line's output for the render: writes the line into a buffer the
+/// caller sized for it.
+struct LineWriter {
+  char* p = nullptr;
+
+  void put(char c) { *p++ = c; }
+  void put(std::string_view s) {
+    std::memcpy(p, s.data(), s.size());
+    p += s.size();
+  }
+  template <typename N>
+  void num(N value) {
+    *p++ = ' ';
+    p = std::to_chars(p, p + 20, value).ptr;
+  }
+};
+
+/// format_line's output for the digest: folds each piece straight into
+/// FNV-1a, so no line is assembled. Hashing piece by piece lets the CPU
+/// format the next piece while the previous one's multiply chain runs.
+struct LineHasher {
+  intern::Fnv fnv;
+
+  void put(char c) { fnv.bytes(&c, 1); }
+  void put(std::string_view s) { fnv.bytes(s.data(), s.size()); }
+  template <typename N>
+  void num(N value) {
+    char digits[21] = {' '};
+    const char* end = std::to_chars(digits + 1, digits + 21, value).ptr;
+    fnv.bytes(digits, static_cast<std::size_t>(end - digits));
+  }
+};
+
+/// Feeds the spill file at `path` to `sink` in chunks of at most
+/// kSpillChunkBytes, so no reader holds the spilled prefix whole.
+template <typename Sink>
+void read_spill(const std::string& path, Sink&& sink) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) {
+    throw std::runtime_error("cannot read log spill file '" + path + "'");
+  }
+  char chunk[kSpillChunkBytes];
+  while (is.read(chunk, sizeof chunk) || is.gcount() > 0) {
+    sink(std::string_view(chunk, static_cast<std::size_t>(is.gcount())));
+  }
+  if (is.bad()) {
+    throw std::runtime_error("cannot read log spill file '" + path + "'");
+  }
 }
 
 }  // namespace
@@ -236,20 +368,13 @@ std::string SimulationLog::to_text() const {
 }
 
 void SimulationLog::to_text(std::string& out) const {
-  out.reserve(out.size() + 16 + 32 * compact_.size());
-  out += "# tut-simlog v1\n";
+  out.reserve(out.size() + kHeader.size() + 32 * compact_.size());
+  out += kHeader;
+  // The spill file holds the already-rendered prefix; splicing it back in
+  // front of the resident tail reproduces the unbounded serialization byte
+  // for byte.
   if (spilled_ != 0) {
-    // The spill file holds the already-rendered prefix; splicing it back in
-    // front of the resident tail reproduces the unbounded serialization
-    // byte for byte.
-    std::ifstream is(spill_path_, std::ios::binary);
-    if (!is) {
-      throw std::runtime_error("cannot read log spill file '" + spill_path_ +
-                               "'");
-    }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    out += buf.str();
+    read_spill(spill_path_, [&out](std::string_view chunk) { out += chunk; });
   }
   render_body(out);
 }
@@ -258,76 +383,36 @@ void SimulationLog::render_body(std::string& out) const {
   // ~32 bytes per rendered line; reserving up front keeps the append loop
   // free of reallocation even on the first use of a fresh buffer.
   out.reserve(out.size() + 32 * compact_.size());
-  const auto field = [&](intern::Id id) {
-    out += ' ';
-    out += names_.name(id);
-  };
-  for (const Compact& r : compact_) {
-    switch (r.kind) {
-      case LogRecord::Kind::Run:
-        out += "R ";
-        append_num(out, r.time);
-        field(r.process);
-        out += ' ';
-        append_num(out, r.cycles);
-        out += ' ';
-        append_num(out, r.duration);
-        break;
-      case LogRecord::Kind::Send:
-        out += "S ";
-        append_num(out, r.time);
-        field(r.process);
-        field(r.peer);
-        field(r.signal);
-        out += ' ';
-        append_num(out, r.bytes);
-        break;
-      case LogRecord::Kind::Receive:
-        out += "V ";
-        append_num(out, r.time);
-        field(r.process);
-        field(r.peer);
-        field(r.signal);
-        break;
-      case LogRecord::Kind::Drop:
-        out += "D ";
-        append_num(out, r.time);
-        field(r.process);
-        field(r.signal);
-        break;
-      case LogRecord::Kind::Fault:
-        out += "F ";
-        append_num(out, r.time);
-        field(r.process);
-        break;
-      case LogRecord::Kind::Clear:
-        out += "C ";
-        append_num(out, r.time);
-        field(r.process);
-        break;
-      case LogRecord::Kind::Retry:
-        out += "T ";
-        append_num(out, r.time);
-        field(r.process);
-        field(r.signal);
-        out += ' ';
-        append_num(out, r.cycles);
-        break;
-      case LogRecord::Kind::Watchdog:
-        out += "W ";
-        append_num(out, r.time);
-        field(r.process);
-        break;
-      case LogRecord::Kind::Migrate:
-        out += "M ";
-        append_num(out, r.time);
-        field(r.process);
-        field(r.peer);
-        field(r.signal);
-        break;
-    }
-    out += '\n';
+  const std::vector<std::string_view>& names = names_.views();
+  std::size_t longest = 0;
+  for (const std::string_view name : names) {
+    longest = std::max(longest, name.size());
   }
+  // A line holds at most three names. Only a log with a name too long for
+  // the stack buffer renders through a heap one.
+  char stack_line[kLineBufBytes] = {};
+  std::string heap_line;
+  char* line = stack_line;
+  if (kLineFixedBytes + 3 * longest > sizeof stack_line) {
+    heap_line.resize(kLineFixedBytes + 3 * longest);
+    line = heap_line.data();
+  }
+  for (const Compact& r : compact_) {
+    LineWriter w{line};
+    format_line(r, names.data(), w);
+    out.append(line, w.p);
+  }
+}
+
+std::uint64_t SimulationLog::digest() const {
+  LineHasher h;
+  h.put(kHeader);
+  if (spilled_ != 0) {
+    read_spill(spill_path_, [&h](std::string_view chunk) { h.put(chunk); });
+  }
+  const std::vector<std::string_view>& names = names_.views();
+  for (const Compact& r : compact_) format_line(r, names.data(), h);
+  return h.fnv.h;
 }
 
 namespace {

@@ -157,6 +157,15 @@ class SimulationLog {
   /// render allocation-free after the first run.
   void to_text(std::string& out) const;
 
+  /// FNV-1a 64 of the serialization: always exactly
+  /// intern::Fnv::of(to_text()), but no string is built. The header, then
+  /// the spill file (read back in bounded chunks), then each resident
+  /// record's line, piece by piece as the per-record formatter that
+  /// to_text() also runs emits it, are folded straight into the hash. It
+  /// hashes names, never intern ids, so a reused context's name table
+  /// cannot leak into it.
+  std::uint64_t digest() const;
+
   /// Parses a log-file in one pass over `text`. The grammar is what
   /// to_text() emits, read leniently in three ways only: fields may be
   /// separated by runs of spaces or tabs, a line may end in CR (CRLF
@@ -182,7 +191,9 @@ class SimulationLog {
   /// Renders the resident records to the spill file and frees them.
   void spill_resident(Time at);
   /// Renders the resident records (no header) — shared by to_text and the
-  /// spill flush so both paths serialize identically.
+  /// spill flush so both paths serialize identically. It and digest() run
+  /// the same per-record line formatter, so the digest cannot drift from
+  /// the text.
   void render_body(std::string& out) const;
 
   std::vector<Compact> compact_;

@@ -1,7 +1,7 @@
 // Fault-plan fuzzing: generate a random (but seeded, hence reproducible)
 // fault plan for the TUTMAC case study, run a short co-simulation under it,
-// and check the run terminates, its log parses, and a second identical run
-// is byte-identical. Each round's log then seeds a mutation fuzz of the log
+// and check the run terminates, its log parses, its digest is the hash of its
+// text, and a second identical run is byte-identical. Each round's log then seeds a mutation fuzz of the log
 // decoder (`tut profile` reads logs from disk): every mutant is either
 // rejected with the tagged [log.line.malformed] error, or parses to a log
 // that says what the mutant said and whose text round trip is a fixed
@@ -16,6 +16,7 @@
 #include <string_view>
 #include <vector>
 
+#include "intern/fnv.hpp"
 #include "mapping/mapping.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulator.hpp"
@@ -69,6 +70,8 @@ FaultPlan random_plan(std::mt19937_64& rng, Time horizon) {
   return plan;
 }
 
+/// The rendered log of one run. Also checks the digest contract on it:
+/// digest() hashes exactly the text that to_text() renders.
 std::string run_once(const tutmac::System& sys, const FaultPlan& plan,
                      Time horizon) {
   mapping::SystemView view(*sys.model);
@@ -78,7 +81,9 @@ std::string run_once(const tutmac::System& sys, const FaultPlan& plan,
   Simulation simulation(view, config);
   sys.inject_workload(simulation);
   simulation.run();
-  return simulation.log().to_text();
+  std::string text = simulation.log().to_text();
+  EXPECT_EQ(simulation.log().digest(), intern::Fnv::of(text));
+  return text;
 }
 
 /// Byte range of one blank-separated field of a rendered log.

@@ -2,7 +2,10 @@
 // co-simulator on the MiniSystem fixture.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "fixtures.hpp"
+#include "intern/fnv.hpp"
 #include "sim/simulator.hpp"
 
 using namespace tut;
@@ -195,6 +198,78 @@ TEST(SimLog, ParserAcceptsCrlfAndTabs) {
   EXPECT_EQ(log.to_text(),
             "# tut-simlog v1\nR 5 p -7 3\nS 6 a b sig 4\nF 7 bus\n");
   EXPECT_EQ(SimulationLog::parse(log.to_text()).to_text(), log.to_text());
+}
+
+TEST(SimLog, DigestEqualsHashOfText) {
+  // digest() folds each record's line into FNV-1a without building the
+  // text; it must equal the hash of the text in every case.
+  const auto expect_contract = [](const SimulationLog& log) {
+    EXPECT_EQ(log.digest(), intern::Fnv::of(log.to_text()));
+  };
+
+  SimulationLog empty;
+  expect_contract(empty);
+  EXPECT_EQ(empty.digest(), intern::Fnv::of("# tut-simlog v1\n"));
+
+  // Every record kind, including a negative Compute total.
+  SimulationLog all;
+  all.run(0, "p1", -7, 0);
+  all.run(18446744073709551615ull, "p1", -9223372036854775807L - 1,
+          18446744073709551615ull);
+  all.send(10, "p1", "p2", "Req", 18446744073709551615ull);
+  all.receive(11, "p2", "p1", "Req");
+  all.drop(12, "p2", "Bogus");
+  all.fault(13, "hibisegment1");
+  all.fault_cleared(14, "hibisegment1");
+  all.retry(15, "p1", "Req", -1);
+  all.watchdog_reset(16, "p2");
+  all.migrate(17, "p2", "cpu1", "cpu2");
+  expect_contract(all);
+
+  // A name longer than the formatter's stack buffer takes its slow path.
+  SimulationLog long_names;
+  const std::string big(300, 'n');
+  long_names.run(1, big, 5, 3);
+  long_names.send(2, big, big + "2", big + "3", 8);
+  long_names.receive(3, "short", big, "sig");
+  expect_contract(long_names);
+  EXPECT_NE(long_names.to_text().find(big + " " + big + "2 " + big + "3 8\n"),
+            std::string::npos);
+
+  // A spilled log reads the spill back; its digest is the unbounded one's.
+  const std::string spill =
+      (std::filesystem::temp_directory_path() / "tut_simlog_digest.spill")
+          .string();
+  std::filesystem::remove(spill);
+  SimulationLog unbounded;
+  SimulationLog ring;
+  ring.set_envelope(8, spill);
+  for (int i = 0; i < 100; ++i) {
+    const Time t = static_cast<Time>(1000 * i);
+    for (SimulationLog* log : {&unbounded, &ring}) {
+      if (i % 3 == 0) {
+        log->send(t, "a", "b", "Sig", 4);
+      } else if (i % 3 == 1) {
+        log->receive(t, "b", "a", "Sig");
+      } else {
+        log->run(t, "b", i, 20);
+      }
+    }
+  }
+  ASSERT_GT(ring.spilled(), 0u);
+  expect_contract(ring);
+  EXPECT_EQ(ring.digest(), unbounded.digest());
+
+  // clear() and reuse: the persistent name table must not leak in.
+  ring.clear();
+  expect_contract(ring);
+  ring.intern_name("zebra");
+  ring.drop(5, "b", "Sig");
+  expect_contract(ring);
+  SimulationLog fresh;
+  fresh.drop(5, "b", "Sig");
+  EXPECT_EQ(ring.digest(), fresh.digest());
+  std::filesystem::remove(spill);
 }
 
 // ---------------------------------------------------------------------------
