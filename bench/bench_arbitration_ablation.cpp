@@ -112,14 +112,16 @@ struct Contended {
 std::map<std::string, double> mean_latency(const sim::SimulationLog& log) {
   std::map<std::string, std::vector<sim::Time>> sends;
   std::map<std::string, std::vector<sim::Time>> recvs;
-  for (const auto& r : log.records()) {
-    if (r.kind == sim::LogRecord::Kind::Send && r.peer == "cons") {
-      sends[r.process].push_back(r.time);
+  const intern::Table& names = log.names();
+  const intern::Id cons = names.find("cons");
+  log.for_each([&](const sim::LogRecord& r) {
+    if (r.kind == sim::LogRecord::Kind::Send && r.peer == cons) {
+      sends[names.name(r.process)].push_back(r.time);
     }
-    if (r.kind == sim::LogRecord::Kind::Receive && r.process == "cons") {
-      recvs[r.peer].push_back(r.time);
+    if (r.kind == sim::LogRecord::Kind::Receive && r.process == cons) {
+      recvs[names.name(r.peer)].push_back(r.time);
     }
-  }
+  });
   std::map<std::string, double> out;
   for (const auto& [producer, s] : sends) {
     const auto& v = recvs[producer];

@@ -216,8 +216,9 @@ BENCHMARK(BM_EfsmDispatchCompiled);
 void BM_LogAppend(benchmark::State& state) {
   for (auto _ : state) {
     sim::SimulationLog log;
+    const intern::Id proc = log.intern_name("proc");
     for (int i = 0; i < 1000; ++i) {
-      log.run(static_cast<sim::Time>(i), "proc", 100, 2000);
+      log.run_id(static_cast<sim::Time>(i), proc, 100, 2000);
     }
     benchmark::DoNotOptimize(log.size());
   }
@@ -227,9 +228,11 @@ BENCHMARK(BM_LogAppend)->Unit(benchmark::kMicrosecond);
 
 void BM_LogParse(benchmark::State& state) {
   sim::SimulationLog log;
+  const intern::Id proc = log.intern_name("proc"), a = log.intern_name("a");
+  const intern::Id b = log.intern_name("b"), sig = log.intern_name("Sig");
   for (int i = 0; i < 1000; ++i) {
-    log.run(static_cast<sim::Time>(i), "proc", 100, 2000);
-    log.send(static_cast<sim::Time>(i), "a", "b", "Sig", 64);
+    log.run_id(static_cast<sim::Time>(i), proc, 100, 2000);
+    log.send_id(static_cast<sim::Time>(i), a, b, sig, 64);
   }
   const std::string text = log.to_text();
   for (auto _ : state) {

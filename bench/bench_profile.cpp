@@ -104,8 +104,8 @@ void BM_LogAppendEnveloped(benchmark::State& state) {
 BENCHMARK(BM_LogAppendEnveloped)->Unit(benchmark::kMicrosecond);
 
 // Ring-with-spill: the cap is crossed repeatedly, so resident records are
-// rendered and flushed to disk. Absolute numbers depend on the filesystem;
-// the baseline carries a wide tolerance.
+// written to disk, one write per flush. Absolute numbers depend on the
+// filesystem; the baseline carries a wide tolerance.
 void BM_LogAppendSpill(benchmark::State& state) {
   const std::string spill =
       (std::filesystem::temp_directory_path() / "tut_bench_profile.spill")

@@ -36,16 +36,20 @@ LatencyStats run_policy(const std::string& scheduling, long ctx_cycles) {
   const auto simulation = sys.simulate(view);
 
   std::vector<sim::Time> sends, runs;
-  for (const auto& r : simulation->log().records()) {
-    if (r.kind == sim::LogRecord::Kind::Send &&
-        r.process == sim::kEnvironment && r.signal == "RadioSlot") {
+  const sim::SimulationLog& log = simulation->log();
+  const intern::Id env = log.names().find(sim::kEnvironment);
+  const intern::Id slot = log.names().find("RadioSlot");
+  const intern::Id rca = log.names().find("rca");
+  log.for_each([&](const sim::LogRecord& r) {
+    if (r.kind == sim::LogRecord::Kind::Send && r.process == env &&
+        r.signal == slot) {
       sends.push_back(r.time);
     }
-    if (r.kind == sim::LogRecord::Kind::Run && r.process == "rca" &&
+    if (r.kind == sim::LogRecord::Kind::Run && r.process == rca &&
         r.cycles == opt.c_slot) {
       runs.push_back(r.time);
     }
-  }
+  });
   LatencyStats stats;
   const std::size_t n = std::min(sends.size(), runs.size());
   double total = 0;

@@ -148,7 +148,7 @@ ProfilingReport analyze(const ProcessGroupInfo& info,
   // Resolve every interned log name to its party index once; the record loop
   // then runs entirely on dense ids. Two tables because Run records resolve
   // through party_of() alone while Send records special-case the literal
-  // environment name first (see the string-based originals below).
+  // environment name first.
   const intern::Table& names = log.names();
   const std::size_t name_count = names.size();
   std::vector<std::size_t> run_party(name_count, kNoParty);
@@ -181,7 +181,9 @@ ProfilingReport analyze(const ProcessGroupInfo& info,
   std::vector<sim::Time> migrated_at(name_count, kNoTime);
   sim::Time last_time = 0;
 
-  for (const sim::SimulationLog::Compact& r : log.compact_records()) {
+  // always_inline: without it, GCC's growth limit for large callers keeps
+  // this body out of line, a call per record.
+  log.for_each([&](const sim::LogRecord& r) __attribute__((always_inline)) {
     last_time = r.time;
     switch (r.kind) {
       case sim::LogRecord::Kind::Run: {
@@ -243,7 +245,7 @@ ProfilingReport analyze(const ProcessGroupInfo& info,
         if (migrated_at[r.process] == kNoTime) migrated_at[r.process] = r.time;
         break;
     }
-  }
+  });
 
   // Faults never cleared accrue downtime up to the last log record.
   for (intern::Id id = 0; id < name_count; ++id) {
@@ -307,14 +309,15 @@ std::vector<LatencyStats> latency_report(const sim::SimulationLog& log) {
                      KeyHash>
       streams;
 
-  for (const sim::SimulationLog::Compact& r : log.compact_records()) {
+  // always_inline: see analyze().
+  log.for_each([&](const sim::LogRecord& r) __attribute__((always_inline)) {
     if (r.kind == sim::LogRecord::Kind::Send) {
       streams[{r.process, r.peer, r.signal}].pending.push_back(r.time);
     } else if (r.kind == sim::LogRecord::Kind::Receive) {
       auto it = streams.find({r.peer, r.process, r.signal});
-      if (it == streams.end()) continue;
+      if (it == streams.end()) return;
       Stream& stream = it->second;
-      if (stream.cursor >= stream.pending.size()) continue;  // recv w/o send
+      if (stream.cursor >= stream.pending.size()) return;  // recv w/o send
       const sim::Time sent = stream.pending[stream.cursor++];
       const sim::Time latency = r.time >= sent ? r.time - sent : 0;
       LatencyStats& s = stream.stats;
@@ -330,7 +333,7 @@ std::vector<LatencyStats> latency_report(const sim::SimulationLog& log) {
                 static_cast<double>(s.samples + 1);
       ++s.samples;
     }
-  }
+  });
   std::vector<LatencyStats> out;
   out.reserve(streams.size());
   const intern::Table& names = log.names();

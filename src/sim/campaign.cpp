@@ -327,15 +327,6 @@ long Scenario::param(std::string_view name, long fallback) const {
   return fallback;
 }
 
-namespace {
-
-bool reserved_axis(std::string_view name) {
-  return name == "seed" || name == "horizon" || name == "plan" ||
-         name == "mapping";
-}
-
-}  // namespace
-
 std::vector<std::string> CampaignSpec::validate() const {
   std::vector<std::string> defects;
   if (axes.empty()) {
@@ -1055,12 +1046,9 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec,
         s.digest = log.digest();
         s.events = ctx->events_dispatched();
         s.records = log.size();
-        const auto& recs = log.compact_records();
-        if (!recs.empty()) s.makespan = recs.back().time;
-        for (const SimulationLog::Compact& r : recs) {
-          if (r.kind == LogRecord::Kind::Drop) ++s.drops;
-          if (r.kind == LogRecord::Kind::Retry) ++s.retries;
-        }
+        s.makespan = log.last_time();
+        s.drops = log.drop_count();
+        s.retries = log.retry_count();
         for (const auto& [name, seg] : ctx->segment_stats()) {
           s.seg_wait += seg.wait_time;
           s.seg_grants += seg.grants;

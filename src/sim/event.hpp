@@ -18,7 +18,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -60,11 +59,10 @@ struct EventRec {
 class EventQueue {
  public:
   /// Schedules `ev` at absolute time `at`. Scheduling into the past is a
-  /// hard error: asserts in debug builds, throws std::logic_error in
-  /// release builds (same contract as Kernel::schedule_at). Defined inline:
+  /// hard error in every build: it throws std::logic_error (same contract
+  /// as Kernel::schedule_at). Defined inline:
   /// schedule/poll are the per-event hot pair of the whole simulator.
   void schedule_at(Time at, EventRec ev) {
-    assert(at >= now_ && "schedule_at: event time precedes queue now()");
     if (at < now_) {
       throw std::logic_error("cannot schedule an event in the past (at=" +
                              std::to_string(at) +

@@ -1,7 +1,6 @@
 #include "sim/kernel.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -10,7 +9,6 @@
 namespace tut::sim {
 
 void Kernel::schedule_at(Time at, Handler fn) {
-  assert(at >= now_ && "schedule_at: event time precedes kernel now()");
   if (at < now_) {
     throw std::logic_error("cannot schedule an event in the past (at=" +
                            std::to_string(at) +

@@ -12,59 +12,9 @@
 
 namespace tut::sim {
 
-void SimulationLog::run(Time t, std::string_view process, long cycles,
-                        Time duration) {
-  run_id(t, names_.intern(process), cycles, duration);
-}
-
-// The string-based appends intern their names last first, so a log's name
-// table has one order whatever the compiler's argument evaluation order.
-
-void SimulationLog::send(Time t, std::string_view from, std::string_view to,
-                         std::string_view signal, std::size_t bytes) {
-  const intern::Id sig = names_.intern(signal), to_id = names_.intern(to);
-  send_id(t, names_.intern(from), to_id, sig, bytes);
-}
-
-void SimulationLog::receive(Time t, std::string_view process,
-                            std::string_view from, std::string_view signal) {
-  const intern::Id sig = names_.intern(signal), from_id = names_.intern(from);
-  receive_id(t, names_.intern(process), from_id, sig);
-}
-
-void SimulationLog::drop(Time t, std::string_view process,
-                         std::string_view signal) {
-  const intern::Id sig = names_.intern(signal);
-  drop_id(t, names_.intern(process), sig);
-}
-
-void SimulationLog::fault(Time t, std::string_view component) {
-  fault_id(t, names_.intern(component));
-}
-
-void SimulationLog::fault_cleared(Time t, std::string_view component) {
-  clear_id(t, names_.intern(component));
-}
-
-void SimulationLog::retry(Time t, std::string_view process,
-                          std::string_view signal, long attempt) {
-  const intern::Id sig = names_.intern(signal);
-  retry_id(t, names_.intern(process), sig, attempt);
-}
-
-void SimulationLog::watchdog_reset(Time t, std::string_view process) {
-  watchdog_id(t, names_.intern(process));
-}
-
-void SimulationLog::migrate(Time t, std::string_view process,
-                            std::string_view from_pe, std::string_view to_pe) {
-  const intern::Id to = names_.intern(to_pe), from = names_.intern(from_pe);
-  migrate_id(t, names_.intern(process), from, to);
-}
-
 void SimulationLog::run_id(Time t, intern::Id process, long cycles,
                            Time duration) {
-  Compact r;
+  LogRecord r;
   r.time = t;
   r.kind = LogRecord::Kind::Run;
   r.process = process;
@@ -75,7 +25,7 @@ void SimulationLog::run_id(Time t, intern::Id process, long cycles,
 
 void SimulationLog::send_id(Time t, intern::Id from, intern::Id to,
                             intern::Id signal, std::size_t bytes) {
-  Compact r;
+  LogRecord r;
   r.time = t;
   r.kind = LogRecord::Kind::Send;
   r.process = from;
@@ -87,7 +37,7 @@ void SimulationLog::send_id(Time t, intern::Id from, intern::Id to,
 
 void SimulationLog::receive_id(Time t, intern::Id process, intern::Id from,
                                intern::Id signal) {
-  Compact r;
+  LogRecord r;
   r.time = t;
   r.kind = LogRecord::Kind::Receive;
   r.process = process;
@@ -97,7 +47,7 @@ void SimulationLog::receive_id(Time t, intern::Id process, intern::Id from,
 }
 
 void SimulationLog::drop_id(Time t, intern::Id process, intern::Id signal) {
-  Compact r;
+  LogRecord r;
   r.time = t;
   r.kind = LogRecord::Kind::Drop;
   r.process = process;
@@ -107,7 +57,7 @@ void SimulationLog::drop_id(Time t, intern::Id process, intern::Id signal) {
 }
 
 void SimulationLog::fault_id(Time t, intern::Id component) {
-  Compact r;
+  LogRecord r;
   r.time = t;
   r.kind = LogRecord::Kind::Fault;
   r.process = component;
@@ -115,7 +65,7 @@ void SimulationLog::fault_id(Time t, intern::Id component) {
 }
 
 void SimulationLog::clear_id(Time t, intern::Id component) {
-  Compact r;
+  LogRecord r;
   r.time = t;
   r.kind = LogRecord::Kind::Clear;
   r.process = component;
@@ -124,7 +74,7 @@ void SimulationLog::clear_id(Time t, intern::Id component) {
 
 void SimulationLog::retry_id(Time t, intern::Id process, intern::Id signal,
                              long attempt) {
-  Compact r;
+  LogRecord r;
   r.time = t;
   r.kind = LogRecord::Kind::Retry;
   r.process = process;
@@ -135,7 +85,7 @@ void SimulationLog::retry_id(Time t, intern::Id process, intern::Id signal,
 }
 
 void SimulationLog::watchdog_id(Time t, intern::Id process) {
-  Compact r;
+  LogRecord r;
   r.time = t;
   r.kind = LogRecord::Kind::Watchdog;
   r.process = process;
@@ -144,7 +94,7 @@ void SimulationLog::watchdog_id(Time t, intern::Id process) {
 
 void SimulationLog::migrate_id(Time t, intern::Id process, intern::Id from_pe,
                                intern::Id to_pe) {
-  Compact r;
+  LogRecord r;
   r.time = t;
   r.kind = LogRecord::Kind::Migrate;
   r.process = process;
@@ -153,7 +103,7 @@ void SimulationLog::migrate_id(Time t, intern::Id process, intern::Id from_pe,
   append(r);
 }
 
-void SimulationLog::append(const Compact& r) {
+void SimulationLog::append(const LogRecord& r) {
   if (capacity_ != 0 && compact_.size() >= capacity_) {
     if (spill_path_.empty()) {
       throw EnvelopeError("envelope.log.overflow", r.time,
@@ -167,19 +117,21 @@ void SimulationLog::append(const Compact& r) {
 }
 
 void SimulationLog::spill_resident(Time at) {
-  std::string body;
-  render_body(body);
+  // One write per flush: the records go out as their fixed-size in-memory
+  // image. Only this log reads the file back (read_spill), in this process.
   std::ofstream os(spill_path_, spilled_ == 0
                                     ? std::ios::binary | std::ios::trunc
                                     : std::ios::binary | std::ios::app);
-  if (!os || !os.write(body.data(), std::streamsize(body.size())) ||
+  if (!os ||
+      !os.write(reinterpret_cast<const char*>(compact_.data()),
+                static_cast<std::streamsize>(compact_.size() *
+                                             sizeof(LogRecord))) ||
       !os.flush()) {
     throw EnvelopeError("envelope.log.overflow", at,
                         "cannot write log spill file '" + spill_path_ + "'");
   }
   spilled_ += compact_.size();
   compact_.clear();
-  materialized_.clear();
 }
 
 void SimulationLog::set_envelope(std::uint64_t capacity,
@@ -188,26 +140,8 @@ void SimulationLog::set_envelope(std::uint64_t capacity,
   spill_path_ = std::move(spill_path);
 }
 
-const std::vector<LogRecord>& SimulationLog::records() const {
-  for (std::size_t i = materialized_.size(); i < compact_.size(); ++i) {
-    const Compact& c = compact_[i];
-    LogRecord r;
-    r.time = c.time;
-    r.kind = c.kind;
-    if (c.process != intern::kNoId) r.process = names_.name(c.process);
-    if (c.peer != intern::kNoId) r.peer = names_.name(c.peer);
-    if (c.signal != intern::kNoId) r.signal = names_.name(c.signal);
-    r.cycles = c.cycles;
-    r.duration = c.duration;
-    r.bytes = c.bytes;
-    materialized_.push_back(std::move(r));
-  }
-  return materialized_;
-}
-
 void SimulationLog::clear() {
   compact_.clear();
-  materialized_.clear();
   if (spilled_ != 0 && !spill_path_.empty()) {
     std::error_code ec;
     std::filesystem::remove(spill_path_, ec);  // best effort
@@ -231,18 +165,18 @@ constexpr std::size_t kLineFixedBytes = 1 + 5 + 3 * 20 + 1;
 /// The render's stack line buffer: it holds every line of a log whose
 /// longest name has at most (kLineBufBytes - kLineFixedBytes) / 3 = 63 bytes.
 constexpr std::size_t kLineBufBytes = 256;
-/// Read size when the spill file is spliced back into a render or a digest.
-constexpr std::size_t kSpillChunkBytes = 16 * 1024;
+/// Records per read when the spill file is walked back.
+constexpr std::size_t kSpillChunkRecords = 16 * 1024 / sizeof(LogRecord);
 
-/// The one per-record formatter, behind render_body (so to_text and the
-/// spill flush) and digest(): emits `r`'s line, '\n' included, piece by piece
-/// into `out`, which takes put(char), put(string_view) and num(value) (a
-/// separating blank, then the decimal value). `names` is the name table as
-/// views; only the fields `r.kind` uses are read, and their ids are valid by
-/// construction.
+/// The one per-record formatter, behind to_text() and digest(): emits `r`'s
+/// line, '\n' included, piece by piece into `out`, which takes put(char),
+/// put(string_view) and num(value) (a separating blank, then the decimal
+/// value). `names` is the name table as views; only the fields `r.kind`
+/// uses are read, and their ids are valid (by construction, or checked by
+/// read_spill).
 template <typename Out>
-void format_line(const SimulationLog::Compact& r,
-                 const std::string_view* names, Out& out) {
+void format_line(const LogRecord& r, const std::string_view* names,
+                 Out& out) {
   const auto field = [&](intern::Id id) {
     out.put(' ');
     out.put(names[id]);
@@ -342,24 +276,84 @@ struct LineHasher {
   }
 };
 
-/// Feeds the spill file at `path` to `sink` in chunks of at most
-/// kSpillChunkBytes, so no reader holds the spilled prefix whole.
-template <typename Sink>
-void read_spill(const std::string& path, Sink&& sink) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw std::runtime_error("cannot read log spill file '" + path + "'");
+/// True when `r` has a valid kind and every name that kind uses is an id
+/// below `names`: what format_line and the profiler may index by.
+bool well_formed(const LogRecord& r, std::size_t names) {
+  const auto ok = [names](intern::Id id) { return id < names; };
+  switch (r.kind) {
+    case LogRecord::Kind::Run:
+    case LogRecord::Kind::Fault:
+    case LogRecord::Kind::Clear:
+    case LogRecord::Kind::Watchdog:
+      return ok(r.process);
+    case LogRecord::Kind::Drop:
+    case LogRecord::Kind::Retry:
+      return ok(r.process) && ok(r.signal);
+    case LogRecord::Kind::Send:
+    case LogRecord::Kind::Receive:
+    case LogRecord::Kind::Migrate:
+      return ok(r.process) && ok(r.peer) && ok(r.signal);
   }
-  char chunk[kSpillChunkBytes];
-  while (is.read(chunk, sizeof chunk) || is.gcount() > 0) {
-    sink(std::string_view(chunk, static_cast<std::size_t>(is.gcount())));
-  }
-  if (is.bad()) {
-    throw std::runtime_error("cannot read log spill file '" + path + "'");
-  }
+  return false;
+}
+
+[[noreturn]] void spill_corrupt(const std::string& path,
+                               const std::string& why) {
+  throw std::runtime_error("[log.spill.corrupt] log spill file '" + path +
+                           "' " + why);
 }
 
 }  // namespace
+
+SimulationLog::Walk::Walk(const SimulationLog& log) : log_(log) {}
+
+SimulationLog::Walk::~Walk() = default;
+
+std::span<const LogRecord> SimulationLog::Walk::next_spilled() {
+  if (!spill_) {
+    const std::string& path = log_.spill_path_;
+    spill_ = std::make_unique<std::ifstream>(path, std::ios::binary);
+    if (!*spill_) {
+      throw std::runtime_error("cannot read log spill file '" + path + "'");
+    }
+    spill_->seekg(0, std::ios::end);
+    const auto bytes = static_cast<std::uint64_t>(spill_->tellg());
+    if (bytes != log_.spilled_ * sizeof(LogRecord)) {
+      spill_corrupt(path, "holds " + std::to_string(bytes) +
+                              " bytes, not the " +
+                              std::to_string(log_.spilled_) +
+                              " records written to it");
+    }
+    spill_->seekg(0);
+    chunk_.resize(static_cast<std::size_t>(
+        std::min<std::uint64_t>(log_.spilled_, kSpillChunkRecords)));
+    // Check every record before the first is handed out. The reads below
+    // check each chunk again, so a file changed in between cannot slip a
+    // bad id through.
+    while (handed_out_ < log_.spilled_) handed_out_ += read_chunk();
+    handed_out_ = 0;
+    spill_->seekg(0);
+  }
+  const std::size_t n = read_chunk();
+  handed_out_ += n;
+  return {chunk_.data(), n};
+}
+
+std::size_t SimulationLog::Walk::read_chunk() {
+  const auto n = static_cast<std::size_t>(
+      std::min<std::uint64_t>(log_.spilled_ - handed_out_, chunk_.size()));
+  if (!spill_->read(reinterpret_cast<char*>(chunk_.data()),
+                    static_cast<std::streamsize>(n * sizeof(LogRecord)))) {
+    spill_corrupt(log_.spill_path_, "ended early");
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!well_formed(chunk_[i], log_.names_.size())) {
+      spill_corrupt(log_.spill_path_, "holds a malformed record " +
+                                          std::to_string(handed_out_ + i));
+    }
+  }
+  return n;
+}
 
 std::string SimulationLog::to_text() const {
   std::string out;
@@ -368,21 +362,10 @@ std::string SimulationLog::to_text() const {
 }
 
 void SimulationLog::to_text(std::string& out) const {
-  out.reserve(out.size() + kHeader.size() + 32 * compact_.size());
-  out += kHeader;
-  // The spill file holds the already-rendered prefix; splicing it back in
-  // front of the resident tail reproduces the unbounded serialization byte
-  // for byte.
-  if (spilled_ != 0) {
-    read_spill(spill_path_, [&out](std::string_view chunk) { out += chunk; });
-  }
-  render_body(out);
-}
-
-void SimulationLog::render_body(std::string& out) const {
   // ~32 bytes per rendered line; reserving up front keeps the append loop
   // free of reallocation even on the first use of a fresh buffer.
-  out.reserve(out.size() + 32 * compact_.size());
+  out.reserve(out.size() + kHeader.size() + 32 * size());
+  out += kHeader;
   const std::vector<std::string_view>& names = names_.views();
   std::size_t longest = 0;
   for (const std::string_view name : names) {
@@ -397,21 +380,18 @@ void SimulationLog::render_body(std::string& out) const {
     heap_line.resize(kLineFixedBytes + 3 * longest);
     line = heap_line.data();
   }
-  for (const Compact& r : compact_) {
+  for_each([&](const LogRecord& r) {
     LineWriter w{line};
     format_line(r, names.data(), w);
     out.append(line, w.p);
-  }
+  });
 }
 
 std::uint64_t SimulationLog::digest() const {
   LineHasher h;
   h.put(kHeader);
-  if (spilled_ != 0) {
-    read_spill(spill_path_, [&h](std::string_view chunk) { h.put(chunk); });
-  }
-  const std::vector<std::string_view>& names = names_.views();
-  for (const Compact& r : compact_) format_line(r, names.data(), h);
+  const std::string_view* names = names_.views().data();
+  for_each([&](const LogRecord& r) { format_line(r, names, h); });
   return h.fnv.h;
 }
 
@@ -532,7 +512,8 @@ SimulationLog SimulationLog::parse(std::string_view text) {
       malformed(lineno, line);
     }
 
-    // Names are interned last field first, like the string-based appends.
+    // Names are interned last field first, so the name table's order does
+    // not depend on argument evaluation order.
     Time t = 0;
     if (!parse_num(f[1], t)) malformed(lineno, line);
     switch (f[0][0]) {

@@ -5,14 +5,18 @@
 // tool later parses that file. This module defines the in-memory records, a
 // line-oriented text serialization (the actual "log-file"), and its parser.
 //
-// Records are stored in a compact interned form: every process/peer/signal
-// name is a dense intern::Id into the log's name table, so appends never
-// allocate per record and downstream analyses (the profiler, exploration)
-// can key flat vectors by id instead of std::map<std::string, ...>. The
-// string-based record view is materialized on demand for compatibility.
+// There is one record type, LogRecord: every process/peer/signal name is a
+// dense intern::Id into the log's name table, so appends never allocate per
+// record and downstream analyses (the profiler, exploration) can key flat
+// vectors by id instead of std::map<std::string, ...>. Every in-process
+// reader walks the records with SimulationLog::for_each, which also reads
+// the records an envelope spilled to disk.
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,8 +30,9 @@ namespace tut::sim {
 /// Sentinel process name for the environment.
 inline constexpr const char* kEnvironment = "env";
 
-/// One log record in the string-based compatibility view. `process`, `peer`
-/// are application process names (or `kEnvironment`).
+/// One log record. Names are ids into the owning log's names(); fields a
+/// record kind does not use hold intern::kNoId (or 0). `process`, `peer`
+/// name application processes (or `kEnvironment`).
 struct LogRecord {
   enum class Kind : std::uint8_t {
     Run,      ///< `process` executed `cycles` cycles for `duration` ticks
@@ -45,9 +50,9 @@ struct LogRecord {
 
   Time time = 0;
   Kind kind = Kind::Run;
-  std::string process;
-  std::string peer;
-  std::string signal;
+  intern::Id process = intern::kNoId;
+  intern::Id peer = intern::kNoId;
+  intern::Id signal = intern::kNoId;
   long cycles = 0;
   Time duration = 0;
   std::size_t bytes = 0;
@@ -56,36 +61,11 @@ struct LogRecord {
 /// Append-only simulation log with text round trip.
 class SimulationLog {
  public:
-  /// One record in the hot-path form: names as ids into names(). Fields a
-  /// record kind does not use hold intern::kNoId.
-  struct Compact {
-    Time time = 0;
-    LogRecord::Kind kind = LogRecord::Kind::Run;
-    intern::Id process = intern::kNoId;
-    intern::Id peer = intern::kNoId;
-    intern::Id signal = intern::kNoId;
-    long cycles = 0;
-    Time duration = 0;
-    std::size_t bytes = 0;
-  };
+  /// Former name of LogRecord, kept for callers that still spell it.
+  using Compact = LogRecord;
 
-  void run(Time t, std::string_view process, long cycles, Time duration);
-  void send(Time t, std::string_view from, std::string_view to,
-            std::string_view signal, std::size_t bytes);
-  void receive(Time t, std::string_view process, std::string_view from,
-               std::string_view signal);
-  void drop(Time t, std::string_view process, std::string_view signal);
-  void fault(Time t, std::string_view component);
-  void fault_cleared(Time t, std::string_view component);
-  void retry(Time t, std::string_view process, std::string_view signal,
-             long attempt);
-  void watchdog_reset(Time t, std::string_view process);
-  void migrate(Time t, std::string_view process, std::string_view from_pe,
-               std::string_view to_pe);
-
-  /// Interns a name for use with the id-based append paths below. Writers
-  /// that log the same names repeatedly (the co-simulator) intern once and
-  /// append by id, skipping even the hash lookup.
+  /// Interns a name for the appends below. Writers that log the same names
+  /// repeatedly (the co-simulator) intern once and append by id.
   intern::Id intern_name(std::string_view name) { return names_.intern(name); }
   void run_id(Time t, intern::Id process, long cycles, Time duration);
   void send_id(Time t, intern::Id from, intern::Id to, intern::Id signal,
@@ -100,26 +80,42 @@ class SimulationLog {
   void migrate_id(Time t, intern::Id process, intern::Id from_pe,
                   intern::Id to_pe);
 
-  /// The *resident* records in compact interned form — the profiler's
-  /// input. With an active spill envelope this is the tail that has not yet
-  /// been flushed; spilled records are only reachable through to_text().
-  const std::vector<Compact>& compact_records() const noexcept {
+  /// Calls f(const LogRecord&) on every record in append order: the records
+  /// the envelope spilled to disk first, then the resident ones. This is the
+  /// one way in-tree readers (the profiler, the latency table, to_text,
+  /// digest) read a log, so a spilled log reads exactly like an unbounded
+  /// one. Before handing out any spilled record the spill file is checked:
+  /// it must hold exactly spilled() records, each of a valid kind whose
+  /// names are ids below names().size(); otherwise std::runtime_error
+  /// "[log.spill.corrupt] ..." is thrown. The spill is read back in bounded
+  /// chunks.
+  template <class F>
+  void for_each(F&& f) const {
+    // One loop over runs of records, so f is expanded, and inlined, once.
+    Walk walk(*this);
+    for (std::span<const LogRecord> run = walk.next(); !run.empty();
+         run = walk.next()) {
+      for (const LogRecord& r : run) f(r);
+    }
+  }
+
+  /// The *resident* records only: with an active spill envelope, the tail
+  /// not yet flushed. In-tree readers use for_each, which also reads the
+  /// spilled records; this view is kept for external callers.
+  const std::vector<LogRecord>& compact_records() const noexcept {
     return compact_;
   }
-  /// The name table the compact records' ids index.
+  /// The name table the records' ids index.
   const intern::Table& names() const noexcept { return names_; }
-
-  /// String-based view of the resident records, materialized lazily
-  /// (append-only, so already materialized prefixes are reused).
-  const std::vector<LogRecord>& records() const;
 
   /// Resource envelope: caps the resident records at `capacity` (0 =
   /// unbounded, the default). Without a spill path, the append that would
   /// exceed the cap throws EnvelopeError ("[envelope.log.overflow]", with
   /// the record's sim time) before mutating anything. With a spill path,
-  /// reaching the cap renders the resident records to the spill file and
-  /// frees them; to_text() reads the spill back, so the serialized log —
-  /// and every digest over it — is byte-identical to an unbounded run.
+  /// reaching the cap writes the resident records, as raw fixed-size
+  /// records, to the spill file and frees them; for_each reads them back,
+  /// so the serialized log, every digest over it and every report read
+  /// from it are identical to an unbounded run's.
   void set_envelope(std::uint64_t capacity, std::string spill_path = {});
   std::uint64_t envelope_capacity() const noexcept { return capacity_; }
   /// Records flushed to the spill file so far.
@@ -159,8 +155,7 @@ class SimulationLog {
 
   /// FNV-1a 64 of the serialization: always exactly
   /// intern::Fnv::of(to_text()), but no string is built. The header, then
-  /// the spill file (read back in bounded chunks), then each resident
-  /// record's line, piece by piece as the per-record formatter that
+  /// each record's line, piece by piece as the per-record formatter that
   /// to_text() also runs emits it, are folded straight into the hash. It
   /// hashes names, never intern ids, so a reused context's name table
   /// cannot leak into it.
@@ -187,18 +182,43 @@ class SimulationLog {
   /// Envelope-checked append: every public append path funnels through
   /// here. Throws (or spills) *before* pushing, so a rejected log still
   /// holds exactly `capacity_` records.
-  void append(const Compact& r);
-  /// Renders the resident records to the spill file and frees them.
+  void append(const LogRecord& r);
+  /// Writes the resident records to the spill file and frees them.
   void spill_resident(Time at);
-  /// Renders the resident records (no header) — shared by to_text and the
-  /// spill flush so both paths serialize identically. It and digest() run
-  /// the same per-record line formatter, so the digest cannot drift from
-  /// the text.
-  void render_body(std::string& out) const;
+  /// for_each's cursor: the spilled records in bounded chunks, read out of
+  /// line, then the resident records, then an empty run.
+  class Walk {
+   public:
+    // Out of line: std::ifstream is incomplete here.
+    explicit Walk(const SimulationLog& log);
+    ~Walk();
 
-  std::vector<Compact> compact_;
+    std::span<const LogRecord> next() {
+      if (handed_out_ < log_.spilled_) return next_spilled();
+      if (resident_) {
+        resident_ = false;
+        return log_.compact_;
+      }
+      return {};
+    }
+
+   private:
+    /// Opens and checks the whole spill file on the first call, then reads
+    /// the next chunk.
+    std::span<const LogRecord> next_spilled();
+    /// Reads and checks the records after the first `handed_out_`, at most
+    /// a chunk; returns their count.
+    std::size_t read_chunk();
+
+    const SimulationLog& log_;
+    std::unique_ptr<std::ifstream> spill_;
+    std::vector<LogRecord> chunk_;
+    std::uint64_t handed_out_ = 0;  ///< spilled records handed out so far
+    bool resident_ = true;
+  };
+
+  std::vector<LogRecord> compact_;
   intern::Table names_;
-  mutable std::vector<LogRecord> materialized_;  // lazy prefix of compact_
   std::uint64_t capacity_ = 0;   ///< resident-record ceiling; 0 = unbounded
   std::string spill_path_;       ///< empty: overflow throws instead
   std::uint64_t spilled_ = 0;    ///< records already flushed to spill_path_

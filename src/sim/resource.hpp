@@ -79,8 +79,8 @@ struct ResourceProfile {
 
   /// SimulationLog resident-record ceiling. Without a spill path the append
   /// that would exceed it throws [envelope.log.overflow]; with one, the
-  /// resident records are rendered to the spill file and freed, and the
-  /// log's text (and digest) stay byte-identical to an unbounded run.
+  /// resident records are written to the spill file and freed, and the
+  /// log's text, digest and profile stay identical to an unbounded run's.
   std::uint64_t log_records = 0;
   /// Spill file for the log ring. Single-run feature: batch and campaign
   /// runs hash-and-release logs anyway, and the runners clear this before

@@ -653,9 +653,9 @@ TEST(Campaign, LogDigestIsNameBasedNotInternIdBased) {
   // reused-context situation) must digest equal.
   SimulationLog a;
   a.intern_name("zebra");  // perturb the intern table only
-  a.run(10, "p1", 5, 3);
+  a.run_id(10, a.intern_name("p1"), 5, 3);
   SimulationLog b;
-  b.run(10, "p1", 5, 3);
+  b.run_id(10, b.intern_name("p1"), 5, 3);
   EXPECT_EQ(log_digest(a), log_digest(b));
   EXPECT_EQ(log_digest(a), BatchRunner::hash_text(a.to_text()));
 }

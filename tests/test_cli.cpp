@@ -259,6 +259,55 @@ TEST(CliCampaign, DryRunPrintsPlanWithoutRunning) {
   fs::remove(xml);
 }
 
+TEST(CliSimulate, SpilledDegradedRunReportsLikeUnbounded) {
+  // A degraded-mode run prints the profiling report of its own in-memory
+  // log. Under a profile whose 16-record cap spills nearly all of that log
+  // to disk, the report and the written log must match the run without one.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("tut_cli_spill_" + std::to_string(getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path plan = dir / "plan.xml";
+  const fs::path profile = dir / "profile.xml";
+  const fs::path spill = dir / "sim.spill";
+  std::ofstream(plan)
+      << "<tut:faultplan seed=\"3\">\n"
+         "  <peFault component=\"processor2\" start=\"1000000\" "
+         "end=\"3000000\"/>\n"
+         "</tut:faultplan>\n";
+  std::ofstream(profile) << "<tut:profile class=\"custom\" spill=\""
+                         << spill.string()
+                         << "\"><cap name=\"logRecords\" value=\"16\"/>"
+                            "</tut:profile>\n";
+  const std::string args = " 5 --faults " + plan.string();
+  const CliResult plain =
+      run_cli("simulate tutmac " + (dir / "plain").string() + args);
+  const CliResult spilled =
+      run_cli("simulate tutmac " + (dir / "spilled").string() + args +
+              " --profile=" + profile.string());
+  ASSERT_EQ(plain.exit_code, 0) << plain.output;
+  ASSERT_EQ(spilled.exit_code, 0) << spilled.output;
+  ASSERT_TRUE(fs::exists(spill));
+  EXPECT_GT(fs::file_size(spill), 0u);
+
+  const auto report = [](const std::string& output) {
+    const std::size_t at = output.find("(c) Reliability");
+    return at == std::string::npos ? std::string() : output.substr(at);
+  };
+  EXPECT_NE(report(plain.output).find("migrations: "), std::string::npos)
+      << plain.output;
+  EXPECT_EQ(report(spilled.output), report(plain.output));
+  const auto read = [](const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string log = read(dir / "plain" / "sim.log");
+  EXPECT_GT(log.size(), 100u);
+  EXPECT_EQ(read(dir / "spilled" / "sim.log"), log);
+  fs::remove_all(dir);
+}
+
 TEST(CliErrors, UsageAndMissingFiles) {
   EXPECT_EQ(run_cli("lint /nonexistent/model.xml").exit_code, 1);
   const CliResult rules = run_cli("lint --rules");

@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "fixtures.hpp"
+#include "log_records.hpp"
 #include "profiler/profiler.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulator.hpp"
@@ -14,14 +15,15 @@
 
 using namespace tut;
 using namespace tut::sim;
+using test::NamedRecord;
 
 namespace {
 
 /// Records of one kind, in log order.
-std::vector<LogRecord> records_of(const SimulationLog& log,
-                                  LogRecord::Kind kind) {
-  std::vector<LogRecord> out;
-  for (const LogRecord& r : log.records()) {
+std::vector<NamedRecord> records_of(const SimulationLog& log,
+                                          LogRecord::Kind kind) {
+  std::vector<NamedRecord> out;
+  for (const NamedRecord& r : test::named_records(log)) {
     if (r.kind == kind) out.push_back(r);
   }
   return out;
@@ -227,7 +229,7 @@ TEST(PeFault, ProcessesMigrateToSurvivorAndBack) {
 
   // dsp1 keeps executing during the outage — on cpu1.
   bool dsp1_ran_mid_fault = false;
-  for (const LogRecord& r : records_of(log, LogRecord::Kind::Run)) {
+  for (const NamedRecord& r : records_of(log, LogRecord::Kind::Run)) {
     if (r.process == "dsp1" && r.time > 10'000 && r.time < 100'000) {
       dsp1_ran_mid_fault = true;
     }
@@ -247,7 +249,7 @@ TEST(PeFault, HardwareProcessWithoutSurvivorStallsUntilRecovery) {
   EXPECT_TRUE(records_of(log, LogRecord::Kind::Migrate).empty());
   bool ran_mid_fault = false;
   bool ran_after_recovery = false;
-  for (const LogRecord& r : records_of(log, LogRecord::Kind::Run)) {
+  for (const NamedRecord& r : records_of(log, LogRecord::Kind::Run)) {
     if (r.process != "crc") continue;
     if (r.time >= 10'000 && r.time < 80'000) ran_mid_fault = true;
     if (r.time >= 80'000) ran_after_recovery = true;
@@ -270,7 +272,7 @@ TEST(SegmentFault, ShortOutageIsAbsorbedByRetries) {
   EXPECT_FALSE(records_of(log, LogRecord::Kind::Retry).empty());
   EXPECT_TRUE(records_of(log, LogRecord::Kind::Drop).empty());
   bool delivered = false;
-  for (const LogRecord& r : records_of(log, LogRecord::Kind::Receive)) {
+  for (const NamedRecord& r : records_of(log, LogRecord::Kind::Receive)) {
     if (r.process == "dsp1" && r.signal == "Req") delivered = true;
   }
   EXPECT_TRUE(delivered);
@@ -288,16 +290,18 @@ TEST(SegmentFault, LongOutageExhaustsRetriesAndDrops) {
   const auto retries = records_of(log, LogRecord::Kind::Retry);
   ASSERT_FALSE(retries.empty());
   long max_attempt = 0;
-  for (const LogRecord& r : retries) max_attempt = std::max(max_attempt, r.cycles);
+  for (const NamedRecord& r : retries) {
+    max_attempt = std::max(max_attempt, r.cycles);
+  }
   EXPECT_EQ(max_attempt, 4);  // the plan's default max_retries
   bool dropped = false;
-  for (const LogRecord& r : records_of(log, LogRecord::Kind::Drop)) {
+  for (const NamedRecord& r : records_of(log, LogRecord::Kind::Drop)) {
     if (r.process == "dsp1" && r.signal == "Req") dropped = true;
   }
   EXPECT_TRUE(dropped);
   // After the segment recovers, traffic flows again.
   bool delivered_after = false;
-  for (const LogRecord& r : records_of(log, LogRecord::Kind::Receive)) {
+  for (const NamedRecord& r : records_of(log, LogRecord::Kind::Receive)) {
     if (r.process == "dsp1" && r.time >= 20'000) delivered_after = true;
   }
   EXPECT_TRUE(delivered_after);
@@ -311,7 +315,7 @@ TEST(BitErrors, CertainCorruptionDropsEveryTransfer) {
   const auto& log = simulation->log();
 
   EXPECT_FALSE(records_of(log, LogRecord::Kind::Retry).empty());
-  for (const LogRecord& r : records_of(log, LogRecord::Kind::Receive)) {
+  for (const NamedRecord& r : records_of(log, LogRecord::Kind::Receive)) {
     EXPECT_NE(r.process, "dsp1");  // nothing survives seg1
   }
 }
@@ -346,13 +350,13 @@ TEST(SignalFault, LostWindowDropsThenRecovers) {
   simulation.run();
 
   bool dropped_at_5000 = false;
-  for (const LogRecord& r :
+  for (const NamedRecord& r :
        records_of(simulation.log(), LogRecord::Kind::Drop)) {
     if (r.process == "dsp2" && r.time == 5'000) dropped_at_5000 = true;
   }
   EXPECT_TRUE(dropped_at_5000);
   std::vector<Time> received;
-  for (const LogRecord& r :
+  for (const NamedRecord& r :
        records_of(simulation.log(), LogRecord::Kind::Receive)) {
     if (r.process == "dsp2") received.push_back(r.time);
   }
@@ -371,7 +375,7 @@ TEST(SignalFault, StuckWindowHoldsAndFlushesAtClose) {
   simulation.run();
 
   std::vector<Time> received;
-  for (const LogRecord& r :
+  for (const NamedRecord& r :
        records_of(simulation.log(), LogRecord::Kind::Receive)) {
     if (r.process == "dsp2") received.push_back(r.time);
   }
@@ -394,7 +398,7 @@ TEST(Watchdog, IdleProcessIsResetAndRestartsCleanly) {
   // fires; busy processes (ctrl, dsp1) never trip theirs.
   const auto resets = records_of(simulation->log(), LogRecord::Kind::Watchdog);
   ASSERT_FALSE(resets.empty());
-  for (const LogRecord& r : resets) EXPECT_EQ(r.process, "dsp2");
+  for (const NamedRecord& r : resets) EXPECT_EQ(r.process, "dsp2");
   // Not one reset per period: cpu2 is saturated by dsp1, so the reset step
   // itself runs late and pushes last-progress forward. Two firings fit.
   EXPECT_GE(resets.size(), 2u);
@@ -444,17 +448,18 @@ TEST(ZeroCost, EmptyPlanMatchesDefaultConfigByteForByte) {
 
 TEST(FaultLog, NewRecordKindsRoundTripThroughText) {
   SimulationLog log;
-  log.fault(100, "cpu2");
-  log.retry(150, "ctrl", "Req", 2);
-  log.watchdog_reset(200, "dsp2");
-  log.migrate(250, "dsp1", "cpu2", "cpu1");
-  log.fault_cleared(300, "cpu2");
+  const test::Ids id{log};
+  log.fault_id(100, id("cpu2"));
+  log.retry_id(150, id("ctrl"), id("Req"), 2);
+  log.watchdog_id(200, id("dsp2"));
+  log.migrate_id(250, id("dsp1"), id("cpu2"), id("cpu1"));
+  log.clear_id(300, id("cpu2"));
 
   const std::string text = log.to_text();
   const SimulationLog parsed = SimulationLog::parse(text);
   ASSERT_EQ(parsed.size(), 5u);
   EXPECT_EQ(parsed.to_text(), text);
-  const auto& r = parsed.records();
+  const auto r = test::named_records(parsed);
   EXPECT_EQ(r[0].kind, LogRecord::Kind::Fault);
   EXPECT_EQ(r[0].process, "cpu2");
   EXPECT_EQ(r[1].kind, LogRecord::Kind::Retry);

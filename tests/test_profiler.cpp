@@ -2,7 +2,10 @@
 // analysis (stage 3) on both synthetic logs and real co-simulation logs.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "fixtures.hpp"
+#include "log_records.hpp"
 #include "profiler/profiler.hpp"
 #include "sim/simulator.hpp"
 #include "uml/serialize.hpp"
@@ -38,17 +41,18 @@ namespace {
 /// A handcrafted log with known aggregates.
 sim::SimulationLog synthetic_log() {
   sim::SimulationLog log;
-  log.run(0, "ctrl", 100, 2000);
-  log.run(10, "dsp1", 900, 11250);
-  log.run(20, "dsp2", 500, 6250);
-  log.send(30, "ctrl", "dsp1", "Req", 8);
-  log.receive(70, "dsp1", "ctrl", "Req");
-  log.send(80, "dsp1", "crc", "Req", 8);
-  log.send(90, "dsp1", "ctrl", "Rsp", 8);
-  log.send(95, "env", "dsp2", "Req", 8);
-  log.send(97, "dsp2", "env", "Rsp", 8);
-  log.drop(99, "dsp2", "Rsp");
-  log.run(100, "crc", 64, 640);
+  const test::Ids id{log};
+  log.run_id(0, id("ctrl"), 100, 2000);
+  log.run_id(10, id("dsp1"), 900, 11250);
+  log.run_id(20, id("dsp2"), 500, 6250);
+  log.send_id(30, id("ctrl"), id("dsp1"), id("Req"), 8);
+  log.receive_id(70, id("dsp1"), id("ctrl"), id("Req"));
+  log.send_id(80, id("dsp1"), id("crc"), id("Req"), 8);
+  log.send_id(90, id("dsp1"), id("ctrl"), id("Rsp"), 8);
+  log.send_id(95, id("env"), id("dsp2"), id("Req"), 8);
+  log.send_id(97, id("dsp2"), id("env"), id("Rsp"), 8);
+  log.drop_id(99, id("dsp2"), id("Rsp"));
+  log.run_id(100, id("crc"), 64, 640);
   return log;
 }
 
@@ -113,8 +117,9 @@ TEST(Analyze, ReceivesDoNotDoubleCount) {
   test::MiniSystem sys;
   const auto info = ProcessGroupInfo::from_model(sys.model);
   sim::SimulationLog log;
-  log.send(0, "ctrl", "dsp1", "Req", 8);
-  log.receive(40, "dsp1", "ctrl", "Req");
+  const test::Ids id{log};
+  log.send_id(0, id("ctrl"), id("dsp1"), id("Req"), 8);
+  log.receive_id(40, id("dsp1"), id("ctrl"), id("Req"));
   const auto report = analyze(info, log);
   EXPECT_EQ(report.total_signals(), 1u);
 }
@@ -139,6 +144,55 @@ TEST(Analyze, ReportTextLooksLikeTable4) {
   EXPECT_NE(text.find("Sender/Receiver"), std::string::npos);
   EXPECT_NE(text.find("Environment"), std::string::npos);
   EXPECT_NE(text.find("cycles"), std::string::npos);
+}
+
+namespace {
+
+/// `records` records cycling through ctrl sending Req to dsp1, dsp1
+/// receiving it 40 ticks later and dsp1 running 5 cycles.
+void append_traffic(sim::SimulationLog& log, int records) {
+  const test::Ids id{log};
+  const intern::Id ctrl = id("ctrl"), dsp1 = id("dsp1"), req = id("Req");
+  for (int i = 0; i < records; ++i) {
+    const sim::Time t = static_cast<sim::Time>(100 * (i / 3));
+    if (i % 3 == 0) {
+      log.send_id(t, ctrl, dsp1, req, 8);
+    } else if (i % 3 == 1) {
+      log.receive_id(t + 40, dsp1, ctrl, req);
+    } else {
+      log.run_id(t + 40, dsp1, 5, 60);
+    }
+  }
+}
+
+}  // namespace
+
+TEST(SimLog, SpilledLogProfilesLikeUnbounded) {
+  // The profiler reads a log through its record walk, so a log whose
+  // envelope spilled all but its last records to disk reports exactly what
+  // the unbounded log reports.
+  test::MiniSystem sys;
+  const auto info = ProcessGroupInfo::from_model(sys.model);
+  const std::string spill =
+      (std::filesystem::temp_directory_path() / "tut_profiler_walk.spill")
+          .string();
+  std::filesystem::remove(spill);
+  sim::SimulationLog unbounded;
+  sim::SimulationLog ring;
+  ring.set_envelope(8, spill);
+  append_traffic(unbounded, 300);
+  append_traffic(ring, 300);
+  ASSERT_EQ(ring.spilled(), 296u);
+
+  const ProfilingReport report = analyze(info, ring);
+  EXPECT_EQ(report.to_text(), analyze(info, unbounded).to_text());
+  EXPECT_EQ(report.process_cycles.at("dsp1"), 500);
+  const auto latencies = latency_report(ring);
+  EXPECT_EQ(latency_to_text(latencies),
+            latency_to_text(latency_report(unbounded)));
+  ASSERT_EQ(latencies.size(), 1u);
+  EXPECT_EQ(latencies[0].samples, 100u);
+  ring.clear();  // removes the spill file
 }
 
 // ---------------------------------------------------------------------------
@@ -183,10 +237,11 @@ TEST(EndToEnd, Figure2FlowOnMiniSystem) {
 
 TEST(Latency, MatchesSendsToReceivesFifo) {
   sim::SimulationLog log;
-  log.send(100, "a", "b", "Sig", 8);
-  log.send(200, "a", "b", "Sig", 8);
-  log.receive(150, "b", "a", "Sig");   // first send: 50
-  log.receive(500, "b", "a", "Sig");   // second send: 300
+  const test::Ids id{log};
+  log.send_id(100, id("a"), id("b"), id("Sig"), 8);
+  log.send_id(200, id("a"), id("b"), id("Sig"), 8);
+  log.receive_id(150, id("b"), id("a"), id("Sig"));  // first send: 50
+  log.receive_id(500, id("b"), id("a"), id("Sig"));  // second send: 300
   const auto report = latency_report(log);
   ASSERT_EQ(report.size(), 1u);
   EXPECT_EQ(report[0].from, "a");
@@ -200,12 +255,13 @@ TEST(Latency, MatchesSendsToReceivesFifo) {
 
 TEST(Latency, SeparatesStreamsBySignalAndPeers) {
   sim::SimulationLog log;
-  log.send(0, "a", "b", "X", 8);
-  log.receive(10, "b", "a", "X");
-  log.send(0, "a", "b", "Y", 8);
-  log.receive(30, "b", "a", "Y");
-  log.send(0, "c", "b", "X", 8);
-  log.receive(70, "b", "c", "X");
+  const test::Ids id{log};
+  log.send_id(0, id("a"), id("b"), id("X"), 8);
+  log.receive_id(10, id("b"), id("a"), id("X"));
+  log.send_id(0, id("a"), id("b"), id("Y"), 8);
+  log.receive_id(30, id("b"), id("a"), id("Y"));
+  log.send_id(0, id("c"), id("b"), id("X"), 8);
+  log.receive_id(70, id("b"), id("c"), id("X"));
   const auto report = latency_report(log);
   ASSERT_EQ(report.size(), 3u);
   // Ordered by (from, to, signal).
@@ -218,15 +274,17 @@ TEST(Latency, SeparatesStreamsBySignalAndPeers) {
 
 TEST(Latency, UnmatchedRecordsAreIgnored) {
   sim::SimulationLog log;
-  log.send(0, "a", "b", "X", 8);          // never received (in flight)
-  log.receive(10, "b", "z", "X");         // receive without send
+  const test::Ids id{log};
+  log.send_id(0, id("a"), id("b"), id("X"), 8);   // never received (in flight)
+  log.receive_id(10, id("b"), id("z"), id("X"));  // receive without send
   EXPECT_TRUE(latency_report(log).empty());
 }
 
 TEST(Latency, TextTableRenders) {
   sim::SimulationLog log;
-  log.send(100, "ctrl", "dsp1", "Req", 8);
-  log.receive(140, "dsp1", "ctrl", "Req");
+  const test::Ids id{log};
+  log.send_id(100, id("ctrl"), id("dsp1"), id("Req"), 8);
+  log.receive_id(140, id("dsp1"), id("ctrl"), id("Req"));
   const std::string text = latency_to_text(latency_report(log));
   EXPECT_NE(text.find("from"), std::string::npos);
   EXPECT_NE(text.find("ctrl"), std::string::npos);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "codegen/native.hpp"
+#include "log_records.hpp"
 #include "sim/batch.hpp"
 #include "sim/campaign.hpp"
 #include "sim/compiled.hpp"
@@ -200,13 +201,14 @@ TEST(ResourceProfile, XmlLoaderTagsDefects) {
 
 TEST(LogEnvelope, OverflowThrowsClassifiedWithSimTimeAndNoPartialMutation) {
   SimulationLog log;
+  const test::Ids id{log};
   log.set_envelope(3);
-  log.run(10, "p1", 1, 5);
-  log.send(20, "p1", "p2", "sig", 8);
-  log.drop(30, "p2", "sig");
+  log.run_id(10, id("p1"), 1, 5);
+  log.send_id(20, id("p1"), id("p2"), id("sig"), 8);
+  log.drop_id(30, id("p2"), id("sig"));
   const std::string before = log.to_text();
   try {
-    log.retry(40, "p2", "sig", 1);
+    log.retry_id(40, id("p2"), id("sig"), 1);
     FAIL() << "append beyond the envelope succeeded";
   } catch (const EnvelopeError& e) {
     EXPECT_EQ(e.tag(), "envelope.log.overflow");
@@ -230,17 +232,14 @@ TEST(LogEnvelope, SpillToDiskKeepsTextByteIdenticalAndCountersExact) {
   SimulationLog unbounded;
   SimulationLog ring;
   ring.set_envelope(8, spill);
-  for (int i = 0; i < 100; ++i) {
-    const Time t = static_cast<Time>(10 * i);
-    unbounded.run(t, "proc", i, 3);
-    ring.run(t, "proc", i, 3);
-    if (i % 7 == 0) {
-      unbounded.drop(t + 1, "proc", "sig");
-      ring.drop(t + 1, "proc", "sig");
-    }
-    if (i % 11 == 0) {
-      unbounded.retry(t + 2, "proc", "sig", i);
-      ring.retry(t + 2, "proc", "sig", i);
+  for (SimulationLog* log : {&unbounded, &ring}) {
+    const intern::Id proc = log->intern_name("proc");
+    const intern::Id sig = log->intern_name("sig");
+    for (int i = 0; i < 100; ++i) {
+      const Time t = static_cast<Time>(10 * i);
+      log->run_id(t, proc, i, 3);
+      if (i % 7 == 0) log->drop_id(t + 1, proc, sig);
+      if (i % 11 == 0) log->retry_id(t + 2, proc, sig, i);
     }
   }
   EXPECT_TRUE(std::filesystem::exists(spill));

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "appmodel/appmodel.hpp"
+#include "log_records.hpp"
 #include "mapping/mapping.hpp"
 #include "platform/platform.hpp"
 #include "profile/tut_profile.hpp"
@@ -107,7 +108,7 @@ struct RtosSystem {
 /// Time of the first Send record of `signal` from `process`, or 0.
 Time send_time(const SimulationLog& log, const std::string& process,
                const std::string& signal) {
-  for (const auto& r : log.records()) {
+  for (const auto& r : test::named_records(log)) {
     if (r.kind == LogRecord::Kind::Send && r.process == process &&
         r.signal == signal) {
       return r.time;
@@ -239,7 +240,7 @@ TEST(RtosScheduling, PreemptionKeepsTotalComputeCycles) {
     sim.inject_periodic(700, 9'000, 50, "pping", *sys.ping);
     sim.run();
     long cycles = 0;
-    for (const auto& r : sim.log().records()) {
+    for (const auto& r : test::named_records(sim.log())) {
       if (r.kind == LogRecord::Kind::Run) cycles += r.cycles;
     }
     return cycles;
@@ -273,7 +274,7 @@ TEST(RtosScheduling, EqualPriorityIsFifo) {
   sim.inject(1'100, "pping", *sys.ping);
   sim.run();
   std::vector<sim::Time> pongs;
-  for (const auto& r : sim.log().records()) {
+  for (const auto& r : test::named_records(sim.log())) {
     if (r.kind == LogRecord::Kind::Send && r.process == "urgent" &&
         r.signal == "Pong") {
       pongs.push_back(r.time);

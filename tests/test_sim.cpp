@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <optional>
 
 #include "fixtures.hpp"
 #include "intern/fnv.hpp"
+#include "log_records.hpp"
 #include "sim/simulator.hpp"
 
 using namespace tut;
 using namespace tut::sim;
+using test::named_records;
+using test::NamedRecord;
 
 // ---------------------------------------------------------------------------
 // Kernel
@@ -117,18 +122,19 @@ TEST(Kernel, ZeroDelayRunsAfterSameTimeHeapEvents) {
 
 TEST(SimLog, TextRoundTrip) {
   SimulationLog log;
-  log.run(100, "p1", 50, 1000);
-  log.send(1100, "p1", "p2", "Req", 8);
-  log.receive(1140, "p2", "p1", "Req");
-  log.drop(1200, "p2", "Bogus");
-  log.send(1300, "p2", kEnvironment, "Rsp", 12);
+  const test::Ids id{log};
+  log.run_id(100, id("p1"), 50, 1000);
+  log.send_id(1100, id("p1"), id("p2"), id("Req"), 8);
+  log.receive_id(1140, id("p2"), id("p1"), id("Req"));
+  log.drop_id(1200, id("p2"), id("Bogus"));
+  log.send_id(1300, id("p2"), id(kEnvironment), id("Rsp"), 12);
 
   const std::string text = log.to_text();
   const SimulationLog parsed = SimulationLog::parse(text);
   ASSERT_EQ(parsed.size(), log.size());
   EXPECT_EQ(parsed.to_text(), text);
 
-  const auto& r = parsed.records();
+  const auto r = named_records(parsed);
   EXPECT_EQ(r[0].kind, LogRecord::Kind::Run);
   EXPECT_EQ(r[0].cycles, 50);
   EXPECT_EQ(r[0].duration, 1000u);
@@ -143,7 +149,7 @@ TEST(SimLog, TextRoundTrip) {
 TEST(SimLog, ParserSkipsCommentsAndBlankLines) {
   const auto log = SimulationLog::parse("# header\n\nR 1 p 2 3\n# tail\n");
   ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log.records()[0].process, "p");
+  EXPECT_EQ(named_records(log)[0].process, "p");
 }
 
 TEST(SimLog, ParserRejectsMalformedLines) {
@@ -191,14 +197,36 @@ TEST(SimLog, ParserAcceptsCrlfAndTabs) {
       "# tut-simlog v1\r\nR\t5  p \t-7\t3\r\n\r\n \t\r\nS 6 a b sig 4\r\n"
       "F 7 bus");
   ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.records()[0].process, "p");
-  EXPECT_EQ(log.records()[0].cycles, -7);  // signed field: to_text emits '-'
-  EXPECT_EQ(log.records()[1].signal, "sig");
-  EXPECT_EQ(log.records()[2].process, "bus");
+  const auto records = named_records(log);
+  EXPECT_EQ(records[0].process, "p");
+  EXPECT_EQ(records[0].cycles, -7);  // signed field: to_text emits '-'
+  EXPECT_EQ(records[1].signal, "sig");
+  EXPECT_EQ(records[2].process, "bus");
   EXPECT_EQ(log.to_text(),
             "# tut-simlog v1\nR 5 p -7 3\nS 6 a b sig 4\nF 7 bus\n");
   EXPECT_EQ(SimulationLog::parse(log.to_text()).to_text(), log.to_text());
 }
+
+namespace {
+
+/// Appends `records` records cycling through Send a->b, Receive and Run b,
+/// one per 1000 ticks.
+void append_traffic(SimulationLog& log, int records) {
+  const intern::Id a = log.intern_name("a"), b = log.intern_name("b");
+  const intern::Id sig = log.intern_name("Sig");
+  for (int i = 0; i < records; ++i) {
+    const Time t = static_cast<Time>(1000 * i);
+    if (i % 3 == 0) {
+      log.send_id(t, a, b, sig, 4);
+    } else if (i % 3 == 1) {
+      log.receive_id(t, b, a, sig);
+    } else {
+      log.run_id(t, b, i, 20);
+    }
+  }
+}
+
+}  // namespace
 
 TEST(SimLog, DigestEqualsHashOfText) {
   // digest() folds each record's line into FNV-1a without building the
@@ -213,25 +241,27 @@ TEST(SimLog, DigestEqualsHashOfText) {
 
   // Every record kind, including a negative Compute total.
   SimulationLog all;
-  all.run(0, "p1", -7, 0);
-  all.run(18446744073709551615ull, "p1", -9223372036854775807L - 1,
-          18446744073709551615ull);
-  all.send(10, "p1", "p2", "Req", 18446744073709551615ull);
-  all.receive(11, "p2", "p1", "Req");
-  all.drop(12, "p2", "Bogus");
-  all.fault(13, "hibisegment1");
-  all.fault_cleared(14, "hibisegment1");
-  all.retry(15, "p1", "Req", -1);
-  all.watchdog_reset(16, "p2");
-  all.migrate(17, "p2", "cpu1", "cpu2");
+  const test::Ids a{all};
+  all.run_id(0, a("p1"), -7, 0);
+  all.run_id(18446744073709551615ull, a("p1"), -9223372036854775807L - 1,
+             18446744073709551615ull);
+  all.send_id(10, a("p1"), a("p2"), a("Req"), 18446744073709551615ull);
+  all.receive_id(11, a("p2"), a("p1"), a("Req"));
+  all.drop_id(12, a("p2"), a("Bogus"));
+  all.fault_id(13, a("hibisegment1"));
+  all.clear_id(14, a("hibisegment1"));
+  all.retry_id(15, a("p1"), a("Req"), -1);
+  all.watchdog_id(16, a("p2"));
+  all.migrate_id(17, a("p2"), a("cpu1"), a("cpu2"));
   expect_contract(all);
 
   // A name longer than the formatter's stack buffer takes its slow path.
   SimulationLog long_names;
+  const test::Ids n{long_names};
   const std::string big(300, 'n');
-  long_names.run(1, big, 5, 3);
-  long_names.send(2, big, big + "2", big + "3", 8);
-  long_names.receive(3, "short", big, "sig");
+  long_names.run_id(1, n(big), 5, 3);
+  long_names.send_id(2, n(big), n(big + "2"), n(big + "3"), 8);
+  long_names.receive_id(3, n("short"), n(big), n("sig"));
   expect_contract(long_names);
   EXPECT_NE(long_names.to_text().find(big + " " + big + "2 " + big + "3 8\n"),
             std::string::npos);
@@ -244,18 +274,8 @@ TEST(SimLog, DigestEqualsHashOfText) {
   SimulationLog unbounded;
   SimulationLog ring;
   ring.set_envelope(8, spill);
-  for (int i = 0; i < 100; ++i) {
-    const Time t = static_cast<Time>(1000 * i);
-    for (SimulationLog* log : {&unbounded, &ring}) {
-      if (i % 3 == 0) {
-        log->send(t, "a", "b", "Sig", 4);
-      } else if (i % 3 == 1) {
-        log->receive(t, "b", "a", "Sig");
-      } else {
-        log->run(t, "b", i, 20);
-      }
-    }
-  }
+  append_traffic(unbounded, 100);
+  append_traffic(ring, 100);
   ASSERT_GT(ring.spilled(), 0u);
   expect_contract(ring);
   EXPECT_EQ(ring.digest(), unbounded.digest());
@@ -263,13 +283,117 @@ TEST(SimLog, DigestEqualsHashOfText) {
   // clear() and reuse: the persistent name table must not leak in.
   ring.clear();
   expect_contract(ring);
-  ring.intern_name("zebra");
-  ring.drop(5, "b", "Sig");
+  const test::Ids ring_id{ring};
+  ring_id("zebra");
+  ring.drop_id(5, ring_id("b"), ring_id("Sig"));
   expect_contract(ring);
   SimulationLog fresh;
-  fresh.drop(5, "b", "Sig");
+  const test::Ids fresh_id{fresh};
+  fresh.drop_id(5, fresh_id("b"), fresh_id("Sig"));
   EXPECT_EQ(ring.digest(), fresh.digest());
   std::filesystem::remove(spill);
+}
+
+TEST(SimLog, ForEachWalksSpilledThenResidentRecordsInAppendOrder) {
+  const std::string spill =
+      (std::filesystem::temp_directory_path() / "tut_simlog_walk.spill")
+          .string();
+  std::filesystem::remove(spill);
+  SimulationLog unbounded;
+  SimulationLog ring;
+  ring.set_envelope(8, spill);
+  append_traffic(unbounded, 300);
+  append_traffic(ring, 300);
+  // 37 flushes of 8 records; the last 4 are still resident.
+  ASSERT_EQ(ring.spilled(), 296u);
+  ASSERT_EQ(ring.compact_records().size(), 4u);
+
+  std::vector<Time> times;
+  ring.for_each([&times](const LogRecord& r) { times.push_back(r.time); });
+  ASSERT_EQ(times.size(), 300u);
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    EXPECT_EQ(times[i], 1000 * i) << "record " << i;
+  }
+  // Field for field the unbounded log's records, and a second walk reads
+  // the same spill again.
+  EXPECT_EQ(named_records(ring), named_records(unbounded));
+  EXPECT_EQ(named_records(ring), named_records(unbounded));
+  EXPECT_EQ(ring.to_text(), unbounded.to_text());
+
+  // clear() drops the spill too: the walk sees only what comes after.
+  ring.clear();
+  EXPECT_FALSE(std::filesystem::exists(spill));
+  append_traffic(ring, 3);
+  EXPECT_EQ(named_records(ring).size(), 3u);
+}
+
+TEST(SimLog, CorruptSpillFileThrowsTaggedError) {
+  const std::string spill =
+      (std::filesystem::temp_directory_path() / "tut_simlog_corrupt.spill")
+          .string();
+  std::filesystem::remove(spill);
+  // Walks `log`, counting the records handed out; returns the error, or ""
+  // when the walk did not throw.
+  const auto walk = [](const SimulationLog& log, std::size_t& handed_out) {
+    handed_out = 0;
+    try {
+      log.for_each([&handed_out](const LogRecord&) { ++handed_out; });
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const auto is_corrupt = [](const std::string& error) {
+    return error.rfind("[log.spill.corrupt] log spill file '", 0) == 0;
+  };
+  // Rewrites the spilled record `index` through `change`.
+  const auto patch = [&spill](std::size_t index, auto&& change) {
+    std::fstream f(spill, std::ios::binary | std::ios::in | std::ios::out);
+    LogRecord r;
+    f.seekg(static_cast<std::streamoff>(index * sizeof r));
+    f.read(reinterpret_cast<char*>(&r), sizeof r);
+    change(r);
+    f.seekp(static_cast<std::streamoff>(index * sizeof r));
+    f.write(reinterpret_cast<const char*>(&r), sizeof r);
+  };
+  std::size_t handed_out = 0;
+
+  SimulationLog log;
+  log.set_envelope(8, spill);
+  append_traffic(log, 20);
+  ASSERT_EQ(log.spilled(), 16u);
+  EXPECT_EQ(walk(log, handed_out), "");
+  EXPECT_EQ(handed_out, 20u);
+
+  // A truncated file holds fewer records than were written to it.
+  std::filesystem::resize_file(spill, 16 * sizeof(LogRecord) - 1);
+  EXPECT_TRUE(is_corrupt(walk(log, handed_out)));
+  EXPECT_EQ(handed_out, 0u);
+  EXPECT_THROW((void)log.to_text(), std::runtime_error);
+  EXPECT_THROW((void)log.digest(), std::runtime_error);
+
+  // An id past the name table, in the last spilled record: the check runs
+  // before the first record is handed out.
+  log.clear();
+  append_traffic(log, 20);
+  patch(15, [&log](LogRecord& r) {
+    r.process = static_cast<intern::Id>(log.names().size());
+  });
+  EXPECT_TRUE(is_corrupt(walk(log, handed_out)));
+  EXPECT_EQ(handed_out, 0u);
+
+  // A kind byte past Migrate.
+  log.clear();
+  append_traffic(log, 20);
+  patch(3, [](LogRecord& r) { r.kind = static_cast<LogRecord::Kind>(9); });
+  EXPECT_TRUE(is_corrupt(walk(log, handed_out)));
+  EXPECT_EQ(handed_out, 0u);
+
+  // A missing file keeps its own error.
+  std::filesystem::remove(spill);
+  EXPECT_EQ(walk(log, handed_out).rfind("cannot read log spill file '", 0),
+            0u);
+  log.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -283,18 +407,19 @@ struct SimFixture : ::testing::Test {
   mapping::SystemView view{sys.model};
 };
 
-const LogRecord* first_record(const SimulationLog& log, LogRecord::Kind kind,
-                              const std::string& process) {
-  for (const auto& r : log.records()) {
-    if (r.kind == kind && r.process == process) return &r;
+std::optional<NamedRecord> first_record(const SimulationLog& log,
+                                        LogRecord::Kind kind,
+                                        const std::string& process) {
+  for (const auto& r : named_records(log)) {
+    if (r.kind == kind && r.process == process) return r;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 std::size_t count_records(const SimulationLog& log, LogRecord::Kind kind,
                           const std::string& process = "") {
   std::size_t n = 0;
-  for (const auto& r : log.records()) {
+  for (const auto& r : named_records(log)) {
     if (r.kind == kind && (process.empty() || r.process == process)) ++n;
   }
   return n;
@@ -314,8 +439,9 @@ TEST_F(SimFixture, ControllerComputeCostMatchesFrequency) {
   Simulation sim(view, {.horizon = 10'000});
   sim.run();
   // ctrl runs 50 cycles on a 50 MHz cpu: 1000 ticks.
-  const LogRecord* run = nullptr;
-  for (const auto& r : sim.log().records()) {
+  const NamedRecord* run = nullptr;
+  const auto records = named_records(sim.log());
+  for (const auto& r : records) {
     if (r.kind == LogRecord::Kind::Run && r.process == "ctrl" && r.cycles > 0) {
       run = &r;
       break;
@@ -330,8 +456,9 @@ TEST_F(SimFixture, DspComputeAtDspFrequency) {
   Simulation sim(view, {.horizon = 100'000});
   sim.run();
   // dsp1 computes 400*8 = 3200 cycles at 80 MHz -> 40000 ticks.
-  const LogRecord* run = nullptr;
-  for (const auto& r : sim.log().records()) {
+  const NamedRecord* run = nullptr;
+  const auto records = named_records(sim.log());
+  for (const auto& r : records) {
     if (r.kind == LogRecord::Kind::Run && r.process == "dsp1" && r.cycles > 0) {
       run = &r;
       break;
@@ -345,14 +472,15 @@ TEST_F(SimFixture, DspComputeAtDspFrequency) {
 TEST_F(SimFixture, RemoteSendHasBusLatency) {
   Simulation sim(view, {.horizon = 50'000});
   sim.run();
-  const LogRecord* send = first_record(sim.log(), LogRecord::Kind::Send, "ctrl");
-  ASSERT_NE(send, nullptr);
+  const auto send = first_record(sim.log(), LogRecord::Kind::Send, "ctrl");
+  ASSERT_TRUE(send.has_value());
   EXPECT_EQ(send->peer, "dsp1");
   EXPECT_EQ(send->signal, "Req");
   EXPECT_EQ(send->bytes, 8u);
   // The matching receive is strictly later (bus transfer takes time).
-  const LogRecord* recv = nullptr;
-  for (const auto& r : sim.log().records()) {
+  const NamedRecord* recv = nullptr;
+  const auto records = named_records(sim.log());
+  for (const auto& r : records) {
     if (r.kind == LogRecord::Kind::Receive && r.process == "dsp1") {
       recv = &r;
       break;
@@ -393,8 +521,9 @@ TEST_F(SimFixture, EnvironmentInjectionReachesProcess) {
   sim.inject(1000, "pin", *sys.req, {4});
   sim.run();
   // dsp2 received the injected Req and computed 400*4 = 1600 cycles.
-  const LogRecord* recv = nullptr;
-  for (const auto& r : sim.log().records()) {
+  const auto records = named_records(sim.log());
+  const NamedRecord* recv = nullptr;
+  for (const auto& r : records) {
     if (r.kind == LogRecord::Kind::Receive && r.process == "dsp2") {
       recv = &r;
       break;
@@ -403,8 +532,8 @@ TEST_F(SimFixture, EnvironmentInjectionReachesProcess) {
   ASSERT_NE(recv, nullptr);
   EXPECT_EQ(recv->peer, kEnvironment);
   EXPECT_EQ(recv->time, 1000u);
-  const LogRecord* run = nullptr;
-  for (const auto& r : sim.log().records()) {
+  const NamedRecord* run = nullptr;
+  for (const auto& r : records) {
     if (r.kind == LogRecord::Kind::Run && r.process == "dsp2" && r.cycles > 0) {
       run = &r;
       break;
@@ -427,7 +556,7 @@ TEST_F(SimFixture, InjectPeriodicSchedulesAllOccurrences) {
   sim.inject_periodic(1000, 50'000, 5, "pin", *sys.req, {1});
   sim.run();
   std::size_t received = 0;
-  for (const auto& r : sim.log().records()) {
+  for (const auto& r : named_records(sim.log())) {
     if (r.kind == LogRecord::Kind::Receive && r.process == "dsp2") ++received;
   }
   EXPECT_EQ(received, 5u);
@@ -439,7 +568,7 @@ TEST_F(SimFixture, SendsToUnconnectedPortGoToEnvironment) {
   sim.run();
   // dsp2 forwards to its unconnected 'hw' port -> environment.
   bool env_send = false;
-  for (const auto& r : sim.log().records()) {
+  for (const auto& r : named_records(sim.log())) {
     if (r.kind == LogRecord::Kind::Send && r.process == "dsp2" &&
         r.peer == kEnvironment) {
       env_send = true;
@@ -573,7 +702,7 @@ TEST(SimInject, AfterRunAcceptsFutureRejectsPast) {
 
   sim.run_until(20'000);
   std::size_t received = 0;
-  for (const LogRecord& r : sim.log().records()) {
+  for (const NamedRecord& r : named_records(sim.log())) {
     if (r.kind == LogRecord::Kind::Receive && r.process == "dsp2") ++received;
   }
   EXPECT_EQ(received, 2u);
@@ -674,7 +803,7 @@ TEST(SimConfig, LogRunsCanBeDisabled) {
   Simulation sim(view, {.horizon = 50'000, .log_runs = false});
   sim.run();
   std::size_t runs = 0, sends = 0;
-  for (const auto& r : sim.log().records()) {
+  for (const auto& r : named_records(sim.log())) {
     if (r.kind == LogRecord::Kind::Run) ++runs;
     if (r.kind == LogRecord::Kind::Send) ++sends;
   }

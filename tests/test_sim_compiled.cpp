@@ -368,7 +368,9 @@ TEST(BatchRunner, ReportsScenarioErrorsWithoutThrowing) {
   bad.name = "bad-plan";
   bad.config.horizon = 100'000;
   bad.config.faults.pe_faults.push_back({"nosuch_pe", 10, 20});
-  const auto results = BatchRunner(model, BatchOptions{1, false}).run({bad});
+  BatchOptions options;
+  options.threads = 1;
+  const auto results = BatchRunner(model, options).run({bad});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_NE(results[0].error.find("unknown component instance"),
             std::string::npos)

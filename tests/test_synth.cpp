@@ -3,6 +3,7 @@
 // XML round trip with identical behaviour.
 #include <gtest/gtest.h>
 
+#include "log_records.hpp"
 #include "profiler/profiler.hpp"
 #include "synth/synth.hpp"
 #include "uml/serialize.hpp"
@@ -58,7 +59,7 @@ struct Counts {
 
 Counts count_log(const sim::SimulationLog& log) {
   Counts c;
-  for (const auto& r : log.records()) {
+  for (const auto& r : test::named_records(log)) {
     switch (r.kind) {
       case sim::LogRecord::Kind::Send:
         if (r.peer == sim::kEnvironment) {
@@ -138,7 +139,7 @@ TEST_P(SynthProperty, PeBusyTimeMatchesLog) {
   // Reconstruct per-PE busy time from Run records (cooperative scheduling:
   // no overhead, so stats must equal the logged durations exactly).
   std::map<std::string, sim::Time> from_log;
-  for (const auto& r : simulation->log().records()) {
+  for (const auto& r : test::named_records(simulation->log())) {
     if (r.kind != sim::LogRecord::Kind::Run) continue;
     const uml::Property* proc = nullptr;
     for (const uml::Property* p : view.app().processes()) {

@@ -528,6 +528,8 @@ int cmd_simulate_tutmac(const std::string& outdir, long horizon_ms,
 
   std::string log_text;
   std::uint64_t events = 0;
+  // The run whose log is written out and, in degraded mode, profiled.
+  std::optional<sim::Simulation> simulation;
   // Lower the model once; batch mode fans the scenarios out over it.
   const auto compiled = sim::CompiledModel::build(view);
   const std::shared_ptr<const sim::BackendImage> image =
@@ -537,11 +539,11 @@ int cmd_simulate_tutmac(const std::string& outdir, long horizon_ms,
     if (image->content_hash() != 0) {
       print_backend(image->name(), image->content_hash());
     }
-    sim::Simulation simulation(image, config);
-    sys.inject_workload(simulation);
-    simulation.run();
-    log_text = simulation.log().to_text();
-    events = simulation.events_dispatched();
+    simulation.emplace(image, config);
+    sys.inject_workload(*simulation);
+    simulation->run();
+    log_text = simulation->log().to_text();
+    events = simulation->events_dispatched();
   } else {
     // Scenario i perturbs only the fault seed, so without a fault plan all
     // rows hash identically (itself a useful determinism check).
@@ -590,10 +592,10 @@ int cmd_simulate_tutmac(const std::string& outdir, long horizon_ms,
       // must hash to the batch's row 0 (and donates the log file we write
       // out). Under --backend=native row 0 came from the generated image,
       // so this doubles as an interpreter-vs-native byte-identity check.
-      sim::Simulation check(compiled, scenarios[0].config);
-      sys.inject_workload(check);
-      check.run();
-      log_text = check.log().to_text();
+      simulation.emplace(compiled, scenarios[0].config);
+      sys.inject_workload(*simulation);
+      simulation->run();
+      log_text = simulation->log().to_text();
       const auto check_hash = sim::BatchRunner::hash_text(log_text);
       std::cout << "determinism check: "
                 << (check_hash == results[0].log_hash ? "ok" : "MISMATCH")
@@ -617,9 +619,12 @@ int cmd_simulate_tutmac(const std::string& outdir, long horizon_ms,
   if (!faults_path.empty()) {
     // Degraded-mode runs print the profiling report directly: its
     // reliability section is the point of the exercise.
+    // A batch whose first scenario failed has no log: profile an empty one.
     const auto info = profiler::ProcessGroupInfo::from_model(*sys.model);
-    const auto log = sim::SimulationLog::parse(log_text);
-    std::cout << '\n' << profiler::analyze(info, log).to_text();
+    const sim::SimulationLog none;
+    std::cout << '\n'
+              << profiler::analyze(info, simulation ? simulation->log() : none)
+                     .to_text();
   }
   return 0;
 }
