@@ -1,9 +1,9 @@
 #include "explore/engine.hpp"
 
-#include <atomic>
 #include <stdexcept>
-#include <thread>
 #include <utility>
+
+#include "sim/scenario.hpp"
 
 namespace tut::explore {
 
@@ -24,11 +24,8 @@ ExploreEngine::ExploreEngine(ProcessStats stats, std::vector<PeDesc> pes,
     : stats_(std::move(stats)),
       pes_(std::move(pes)),
       model_(std::move(model)),
-      options_(options) {
-  threads_ = options_.threads != 0
-                 ? options_.threads
-                 : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
+      options_(options),
+      threads_(sim::resolve_workers(options_.threads, {})) {}
 
 std::size_t ExploreEngine::candidate_count() const noexcept {
   const std::size_t sizes = std::max<std::size_t>(stats_.processes.size(), 1);
@@ -95,29 +92,13 @@ ExplorationResult ExploreEngine::explore(
   const std::vector<Candidate> candidates = make_candidates();
   std::vector<CandidateResult> results(candidates.size());
 
-  if (threads_ <= 1 || candidates.size() <= 1) {
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
+  // Each worker writes only the slots it claims: scheduling cannot show.
+  sim::parallel_claim(0, candidates.size(), threads_, [&] {
+    return [&](std::uint64_t i) {
       results[i] = evaluate(i, candidates[i], process_type, fixed);
-    }
-  } else {
-    // Work-stealing by atomic index: workers claim candidates in order and
-    // write only their own results slot, so the populated vector is
-    // independent of scheduling.
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-           i < candidates.size();
-           i = next.fetch_add(1, std::memory_order_relaxed)) {
-        results[i] = evaluate(i, candidates[i], process_type, fixed);
-      }
+      return true;
     };
-    std::vector<std::thread> pool;
-    const std::size_t spawned = std::min(threads_, candidates.size());
-    pool.reserve(spawned - 1);
-    for (std::size_t t = 1; t < spawned; ++t) pool.emplace_back(worker);
-    worker();  // the calling thread participates
-    for (std::thread& t : pool) t.join();
-  }
+  });
 
   // Serial reduce in index order: lowest total cost (makespan plus any
   // fault-scenario term), ties to the lowest index.

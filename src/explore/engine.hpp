@@ -7,14 +7,14 @@
 // grouping plus a configurable number of seeded-random restarts, maps each
 // candidate with propose_mapping, and reports the full ranked field.
 //
-// Candidate evaluations are independent, so the engine fans them out over a
-// std::thread pool. Determinism across thread counts is by construction:
-// the candidate list is generated serially from the options seed, each
-// evaluation is a pure function of its candidate descriptor, every worker
-// writes only results[i] for the candidate indices it claims, and the
-// winner reduction runs serially in index order after the barrier. The
-// result for a given (stats, pes, model, options) is therefore
-// byte-identical whether threads = 1 or 64.
+// Candidate evaluations are independent, so the engine fans them out over
+// sim::parallel_claim, the pool the scenario runners share. Determinism
+// across thread counts is by construction: the candidate list is generated
+// serially from the options seed, each evaluation is a pure function of its
+// candidate descriptor, every worker writes only results[i] for the
+// candidate indices it claims, and the winner reduction runs serially in
+// index order after the barrier. The result for a given (stats, pes, model,
+// options) is therefore byte-identical whether threads = 1 or 64.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <iostream>
@@ -13,9 +12,11 @@
 #include <utility>
 
 #include "analysis/analyzer.hpp"
+#include "intern/fnv.hpp"
 #include "sim/batch.hpp"
 #include "sim/campaign.hpp"
 #include "sim/fault.hpp"
+#include "sim/scenario.hpp"
 #include "uml/serialize.hpp"
 
 namespace tut::serve {
@@ -167,7 +168,7 @@ std::string Engine::do_simulate(wire::Reader& r) {
   // the hash of that same text, so it is never rendered twice.
   if (q.want_log) {
     p.log_text = simulation->log().to_text();
-    p.digest = sim::BatchRunner::hash_text(p.log_text);
+    p.digest = intern::Fnv::of(p.log_text);
   } else {
     p.digest = sim::log_digest(simulation->log());
   }
@@ -431,10 +432,7 @@ ssize_t recv_exact(int fd, char* dst, std::size_t n) {
 
 Server::Server(Engine& engine, std::uint16_t port, std::size_t threads)
     : engine_(engine) {
-  threads_ = threads != 0 ? threads
-                          : std::max(1u, std::thread::hardware_concurrency());
-  const std::uint64_t cap = engine_.profile().concurrency;
-  if (cap != 0 && threads_ > cap) threads_ = static_cast<std::size_t>(cap);
+  threads_ = sim::resolve_workers(threads, engine_.profile());
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {

@@ -2,13 +2,12 @@
 //
 // Fault-scenario sweeps, seed sweeps and workload sweeps all simulate the
 // same system image under different knobs. BatchRunner amortizes the model
-// lowering (CompiledModel::build once) across every scenario and fans the
-// runs out over a thread pool: scenarios are claimed from an atomic index,
-// each worker keeps one reusable Simulation context over the shared
-// read-only model (Simulation::reset between runs), and every worker writes
-// only its own result slot. Results are therefore indexed by scenario and
-// byte-identical whether threads = 1 or 64. Logs are hashed without being
-// rendered and released; BatchOptions::keep_logs opts into retaining them.
+// lowering (CompiledModel::build once) across every scenario; parallel_claim
+// fans the runs out and each worker runs them through one ScenarioExecutor
+// (sim/scenario.hpp), exactly as a campaign does. Every worker writes only
+// its own result slot, so results are byte-identical whether threads = 1 or
+// 64. Logs are hashed without being rendered and released;
+// BatchOptions::keep_logs opts into retaining them.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +18,7 @@
 
 #include "sim/backend.hpp"
 #include "sim/compiled.hpp"
+#include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
 
 namespace tut::sim {
@@ -34,8 +34,8 @@ struct BatchScenario {
 };
 
 /// Outcome of one scenario. `error` is empty on success; on failure (a
-/// defective fault plan, a diverging EFSM) it carries the exception text
-/// and the remaining fields are zero.
+/// defective fault plan, a diverging EFSM, an envelope miss) it carries the
+/// exception text, `rejection` is set as a campaign's, and the rest is zero.
 struct BatchResult {
   std::string name;
   Time end_time = 0;
@@ -46,6 +46,7 @@ struct BatchResult {
   std::map<std::string, PeStats> pe_stats;
   std::map<std::string, SegmentStats> segment_stats;
   std::string error;
+  RejectionCode rejection = RejectionCode::None;
   /// Compile-backend provenance: the image's name() and content_hash()
   /// ("interpreter", 0 for the bytecode interpreter) — so A/B comparisons
   /// stay attributable after the fact.
@@ -63,9 +64,9 @@ struct BatchOptions {
   /// Resource envelope for the whole batch. Simulation-level caps (log ring,
   /// event queue) are stamped into every scenario's config when set; the
   /// spill path is cleared first (workers must not share one spill file).
-  /// `concurrency` clamps the worker count, `keep_log_bytes` budgets each
-  /// retained log under keep_logs. Semantic lock: an in-envelope batch is
-  /// byte-identical to an unbounded one.
+  /// `concurrency` clamps the worker count (with a note), `keep_log_bytes`
+  /// budgets each retained log under keep_logs. Semantic lock: an
+  /// in-envelope batch is byte-identical to an unbounded one.
   ResourceProfile profile;
 };
 
@@ -84,6 +85,8 @@ class BatchRunner {
 
   /// Resolved worker count.
   std::size_t threads() const noexcept { return threads_; }
+  /// Envelope notes, like CampaignResult::notes (the concurrency clamp).
+  const std::vector<std::string>& notes() const noexcept { return notes_; }
 
   /// Runs every scenario (concurrently when threads() > 1) and returns the
   /// results in scenario order. Per-scenario failures are reported in
@@ -95,15 +98,15 @@ class BatchRunner {
   static std::uint64_t hash_text(std::string_view text) noexcept;
 
  private:
-  /// Runs one scenario on a reusable per-worker context (constructed on the
-  /// first call, Simulation::reset thereafter) — per-run cost and memory are
-  /// independent of the batch size.
+  /// One scenario through a worker's executor, plus the stats maps and,
+  /// under keep_logs, the budgeted log text.
   BatchResult run_one(const BatchScenario& scenario,
-                      std::unique_ptr<Simulation>& context) const;
+                      ScenarioExecutor& executor) const;
 
   std::shared_ptr<const BackendImage> image_;
   BatchOptions options_;
   std::size_t threads_ = 1;
+  std::vector<std::string> notes_;
 };
 
 }  // namespace tut::sim

@@ -1,19 +1,19 @@
 #include "sim/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <type_traits>
 
+#include "sim/scenario.hpp"
 #include "xml/arena.hpp"
 #include "xml/cursor.hpp"
 
@@ -232,21 +232,24 @@ void CampaignAggregate::add(const ScenarioSummary& s) {
   latency_p99.add(latency);
 }
 
+namespace {
+
+/// The aggregate's counters in checkpoint order: serialize() and
+/// deserialize() walk this one list, so they cannot drift apart.
+constexpr std::uint64_t CampaignAggregate::*kAggregateWords[] = {
+    &CampaignAggregate::scenarios,      &CampaignAggregate::errors,
+    &CampaignAggregate::digest,         &CampaignAggregate::events,
+    &CampaignAggregate::records,        &CampaignAggregate::drops,
+    &CampaignAggregate::retries,        &CampaignAggregate::rejected,
+    &CampaignAggregate::rejected_log,   &CampaignAggregate::rejected_queue,
+    &CampaignAggregate::rejected_other, &CampaignAggregate::makespan_min,
+    &CampaignAggregate::makespan_max};
+
+}  // namespace
+
 std::string CampaignAggregate::serialize() const {
   std::string out;
-  put_u64(out, scenarios);
-  put_u64(out, errors);
-  put_u64(out, digest);
-  put_u64(out, events);
-  put_u64(out, records);
-  put_u64(out, drops);
-  put_u64(out, retries);
-  put_u64(out, rejected);
-  put_u64(out, rejected_log);
-  put_u64(out, rejected_queue);
-  put_u64(out, rejected_other);
-  put_u64(out, makespan_min);
-  put_u64(out, makespan_max);
+  for (const auto word : kAggregateWords) put_u64(out, this->*word);
   for (const P2Quantile* s : {&makespan_p50, &makespan_p90, &makespan_p99,
                               &latency_p50, &latency_p90, &latency_p99}) {
     s->serialize(out);
@@ -257,19 +260,7 @@ std::string CampaignAggregate::serialize() const {
 CampaignAggregate CampaignAggregate::deserialize(std::string_view bytes) {
   CampaignAggregate a;
   std::size_t cur = 0;
-  a.scenarios = take_u64(bytes, cur);
-  a.errors = take_u64(bytes, cur);
-  a.digest = take_u64(bytes, cur);
-  a.events = take_u64(bytes, cur);
-  a.records = take_u64(bytes, cur);
-  a.drops = take_u64(bytes, cur);
-  a.retries = take_u64(bytes, cur);
-  a.rejected = take_u64(bytes, cur);
-  a.rejected_log = take_u64(bytes, cur);
-  a.rejected_queue = take_u64(bytes, cur);
-  a.rejected_other = take_u64(bytes, cur);
-  a.makespan_min = take_u64(bytes, cur);
-  a.makespan_max = take_u64(bytes, cur);
+  for (const auto word : kAggregateWords) a.*word = take_u64(bytes, cur);
   for (P2Quantile* s : {&a.makespan_p50, &a.makespan_p90, &a.makespan_p99,
                         &a.latency_p50, &a.latency_p90, &a.latency_p99}) {
     *s = P2Quantile::deserialize(bytes, cur);
@@ -539,6 +530,15 @@ std::vector<std::string_view> split_tokens(std::string_view text) {
   return tokens;
 }
 
+/// Throws std::invalid_argument listing every defect validate() finds.
+void throw_if_invalid(const CampaignSpec& spec) {
+  const std::vector<std::string> defects = spec.validate();
+  if (defects.empty()) return;
+  std::string msg = "campaign: invalid sweep:";
+  for (const std::string& d : defects) msg += "\n  - " + d;
+  throw std::invalid_argument(msg);
+}
+
 }  // namespace
 
 CampaignSpec CampaignSpec::from_xml_text(std::string_view text,
@@ -669,12 +669,7 @@ CampaignSpec CampaignSpec::from_xml_text(std::string_view text,
     }
   }
 
-  const std::vector<std::string> defects = spec.validate();
-  if (!defects.empty()) {
-    std::string msg = "campaign: invalid sweep:";
-    for (const std::string& d : defects) msg += "\n  - " + d;
-    throw std::invalid_argument(msg);
-  }
+  throw_if_invalid(spec);
   return spec;
 }
 
@@ -684,15 +679,6 @@ CampaignSpec CampaignSpec::from_xml_text(std::string_view text,
 
 namespace {
 
-/// The work-claim counter gets a cache line of its own: workers hammer it
-/// with fetch_add while the reducer mutex and shard bookkeeping live right
-/// next door in the shared state, and false sharing there costs more than
-/// the counter itself.
-struct alignas(64) PaddedCounter {
-  std::atomic<std::uint64_t> value{0};
-  char pad[64 - sizeof(std::atomic<std::uint64_t>)];
-};
-
 // Checkpoint format v2 ("tutckpt2"): the serialized aggregate gained the
 // envelope-rejection counters. Part format v3 ("tutpart3"): v2 plus the
 // trailing rejection-classification word per summary. Old files fail the
@@ -700,37 +686,24 @@ struct alignas(64) PaddedCounter {
 constexpr char kCheckpointMagic[9] = "tutckpt2";
 constexpr char kPartMagic[9] = "tutpart3";
 constexpr std::size_t kPartHeaderSize = 8 + 8 + 8 + 8;
-constexpr std::size_t kSummarySize = 12 * 8;
+/// ScenarioSummary's words in part-file order: the writer and the reader
+/// walk this one list.
+constexpr std::uint64_t ScenarioSummary::*kSummaryWords[] = {
+    &ScenarioSummary::index,      &ScenarioSummary::digest,
+    &ScenarioSummary::events,     &ScenarioSummary::records,
+    &ScenarioSummary::makespan,   &ScenarioSummary::drops,
+    &ScenarioSummary::retries,    &ScenarioSummary::seg_wait,
+    &ScenarioSummary::seg_grants, &ScenarioSummary::error,
+    &ScenarioSummary::backend,    &ScenarioSummary::rejection};
+constexpr std::size_t kSummarySize = std::size(kSummaryWords) * 8;
 
 void put_summary(std::string& out, const ScenarioSummary& s) {
-  put_u64(out, s.index);
-  put_u64(out, s.digest);
-  put_u64(out, s.events);
-  put_u64(out, s.records);
-  put_u64(out, s.makespan);
-  put_u64(out, s.drops);
-  put_u64(out, s.retries);
-  put_u64(out, s.seg_wait);
-  put_u64(out, s.seg_grants);
-  put_u64(out, s.error);
-  put_u64(out, s.backend);
-  put_u64(out, s.rejection);
+  for (const auto word : kSummaryWords) put_u64(out, s.*word);
 }
 
 ScenarioSummary take_summary(std::string_view bytes, std::size_t& cursor) {
   ScenarioSummary s;
-  s.index = take_u64(bytes, cursor);
-  s.digest = take_u64(bytes, cursor);
-  s.events = take_u64(bytes, cursor);
-  s.records = take_u64(bytes, cursor);
-  s.makespan = take_u64(bytes, cursor);
-  s.drops = take_u64(bytes, cursor);
-  s.retries = take_u64(bytes, cursor);
-  s.seg_wait = take_u64(bytes, cursor);
-  s.seg_grants = take_u64(bytes, cursor);
-  s.error = take_u64(bytes, cursor);
-  s.backend = take_u64(bytes, cursor);
-  s.rejection = take_u64(bytes, cursor);
+  for (const auto word : kSummaryWords) s.*word = take_u64(bytes, cursor);
   return s;
 }
 
@@ -774,18 +747,14 @@ void write_file_atomic(const std::string& path, const std::string& bytes) {
   }
 }
 
-/// Everything the worker threads share. The claim counter is padded; the
-/// reorder buffer + aggregate sit behind the mutex. `pending` holds only
+/// Everything the worker threads share besides parallel_claim's counter:
+/// the reorder buffer + aggregate sit behind the mutex. `pending` holds only
 /// summaries completed out of order. Without a depth cap its size is NOT
 /// bounded by the thread count — fast workers keep claiming past one slow
 /// scenario — so a profile's reorder_depth adds real backpressure: a worker
 /// parks on `cv` until its claimed index is within `depth` of the commit
 /// frontier.
 struct CampaignState {
-  PaddedCounter claim;
-  std::uint64_t limit = 0;
-  std::uint64_t depth = 0;  ///< reorder-buffer depth; 0 = unbounded
-
   std::mutex mu;
   std::condition_variable cv;  ///< signalled when next_commit advances
   std::uint64_t next_commit = 0;
@@ -833,14 +802,7 @@ CampaignRunner::CampaignRunner(
 CampaignResult CampaignRunner::run(const CampaignSpec& spec,
                                    const CampaignOptions& options) const {
   const auto t0 = std::chrono::steady_clock::now();
-  {
-    const std::vector<std::string> defects = spec.validate();
-    if (!defects.empty()) {
-      std::string msg = "campaign: invalid sweep:";
-      for (const std::string& d : defects) msg += "\n  - " + d;
-      throw std::invalid_argument(msg);
-    }
-  }
+  throw_if_invalid(spec);
   if (!spec.mapping_names.empty() &&
       spec.mapping_names.size() > images_.size()) {
     throw std::invalid_argument(
@@ -876,6 +838,9 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec,
   const std::uint64_t first = shard_bound(shard.index);
   const std::uint64_t end = shard_bound(shard.index + 1);
 
+  // What a checkpoint must match to resume this shard of this campaign.
+  const std::uint64_t checkpoint_key[] = {fingerprint, shard.index,
+                                          shard.count, first, end};
   CampaignState st;
   st.next_commit = first;
 
@@ -890,21 +855,18 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec,
     }
     const std::string bytes =
         read_file_bytes(options.checkpoint_path, "campaign.checkpoint.io");
-    std::size_t cur = 0;
     if (bytes.size() < 8 || bytes.compare(0, 8, kCheckpointMagic, 8) != 0) {
       throw std::runtime_error(
           "campaign: [campaign.checkpoint.corrupt] bad magic in '" +
           options.checkpoint_path + "'");
     }
-    cur = 8;
-    const std::uint64_t fp = take_u64(bytes, cur);
-    const std::uint64_t sh_index = take_u64(bytes, cur);
-    const std::uint64_t sh_count = take_u64(bytes, cur);
-    const std::uint64_t ck_first = take_u64(bytes, cur);
-    const std::uint64_t ck_end = take_u64(bytes, cur);
+    std::size_t cur = 8;
+    bool same = true;
+    for (const std::uint64_t word : checkpoint_key) {
+      same &= take_u64(bytes, cur) == word;
+    }
     const std::uint64_t ck_next = take_u64(bytes, cur);
-    if (fp != fingerprint || sh_index != shard.index ||
-        sh_count != shard.count || ck_first != first || ck_end != end) {
+    if (!same) {
       throw std::runtime_error(
           "campaign: [campaign.checkpoint.mismatch] checkpoint '" +
           options.checkpoint_path +
@@ -978,166 +940,87 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec,
     }
   }
 
-  st.claim.value.store(st.next_commit, std::memory_order_relaxed);
-  st.limit = end;
-  if (options.stop_after != 0) {
-    st.limit = std::min(end, st.next_commit + options.stop_after);
-  }
-  st.depth = options.profile.reorder_depth;
+  const std::uint64_t limit =
+      options.stop_after == 0
+          ? end
+          : std::min(end, st.next_commit + options.stop_after);
+  const std::uint64_t depth = options.profile.reorder_depth;  // 0: unbounded
 
   const auto checkpoint_now = [&](std::uint64_t next) {
     std::string bytes;
     bytes.append(kCheckpointMagic, 8);
-    put_u64(bytes, fingerprint);
-    put_u64(bytes, shard.index);
-    put_u64(bytes, shard.count);
-    put_u64(bytes, first);
-    put_u64(bytes, end);
+    for (const std::uint64_t word : checkpoint_key) put_u64(bytes, word);
     put_u64(bytes, next);
     bytes += st.agg.serialize();
     if (st.parts.is_open()) st.parts.flush();
     write_file_atomic(options.checkpoint_path, bytes);
   };
 
-  // Worker: claim → materialize → run on a per-thread reusable context →
-  // hand the summary to the in-order reducer. Logs die with the context
-  // reset, so resident memory is O(threads · images), not O(scenarios).
-  const auto worker = [&]() {
-    std::vector<std::unique_ptr<Simulation>> ctxs(images_.size());
-    for (;;) {
-      const std::uint64_t i =
-          st.claim.value.fetch_add(1, std::memory_order_relaxed);
-      if (i >= st.limit) break;
-      if (st.depth != 0) {
+  // Worker: claim → materialize → run on this worker's executor for the
+  // scenario's image → hand the summary to the in-order reducer. Resident
+  // log memory is O(threads · images), not O(scenarios).
+  const auto make_worker = [&] {
+    std::vector<ScenarioExecutor> executors;
+    for (const auto& image : images_) {
+      executors.emplace_back(image, options.profile);
+    }
+    return [&, executors = std::move(executors)](std::uint64_t i) mutable {
+      if (depth != 0) {
         // Reorder-buffer backpressure: run scenario i only once it is within
         // `depth` of the commit frontier. Deadlock-free for depth >= 1:
         // claims are dense, so the worker holding i == next_commit always
         // passes the predicate and unblocks everyone else by committing.
         std::unique_lock<std::mutex> lock(st.mu);
         st.cv.wait(lock, [&] {
-          return st.io_error || i < st.next_commit + st.depth;
+          return st.io_error || i < st.next_commit + depth;
         });
-        if (st.io_error) break;
+        if (st.io_error) return false;
       }
       Scenario sc = spec.scenario(i);
-      if (options.profile.bounds_simulation()) {
-        sc.config.envelope = options.profile;
-        // Concurrent workers must never share one spill file; spilling is a
-        // single-run CLI feature and campaign logs are hash-and-release.
-        sc.config.envelope.log_spill_path.clear();
-      }
-      const auto fresh_summary = [&] {
-        ScenarioSummary f;
-        f.index = i;
-        f.backend = images_[sc.image]->content_hash();
-        return f;
+      const auto setup = [&](Simulation& sim) {
+        if (setup_) setup_(sim, sc);
       };
-      ScenarioSummary s = fresh_summary();
-      std::unique_ptr<Simulation>& ctx = ctxs[sc.image];
-      try {
-        if (!ctx) {
-          ctx = std::make_unique<Simulation>(images_[sc.image], sc.config);
-        } else {
-          ctx->reset(sc.config);
-        }
-        if (setup_) setup_(*ctx, sc);
-        ctx->run();
-        const SimulationLog& log = ctx->log();
-        s.digest = log.digest();
-        s.events = ctx->events_dispatched();
-        s.records = log.size();
-        s.makespan = log.last_time();
-        s.drops = log.drop_count();
-        s.retries = log.retry_count();
-        for (const auto& [name, seg] : ctx->segment_stats()) {
-          s.seg_wait += seg.wait_time;
-          s.seg_grants += seg.grants;
-        }
-      } catch (const EnvelopeError& e) {
-        // A classified rejection: the scenario hit a resource ceiling. The
-        // EnvelopeError message is deterministic (tag + cap + sim time), so
-        // its hash — and therefore the campaign digest — is identical across
-        // thread counts, shards and backends.
-        ctx.reset();
-        s = fresh_summary();
-        Fnv f;
-        f.str(e.what());
-        s.error = f.h;
-        s.rejection =
-            static_cast<std::uint64_t>(classify_envelope_tag(e.tag()));
-      } catch (const std::exception& e) {
-        // A throw can leave the context mid-run; drop it so the next claim
-        // rebuilds from the pristine image. The error digest is the message
-        // hash — deterministic, so failed scenarios still cross-check.
-        ctx.reset();
-        s = fresh_summary();
-        Fnv f;
-        f.str(e.what());
-        s.error = f.h;
-      }
+      ScenarioSummary s = executors[sc.image].run(sc.config, setup).summary;
+      s.index = i;
 
       std::lock_guard<std::mutex> lock(st.mu);
-      if (st.io_error) {
-        st.cv.notify_all();
-        break;
-      }
-      st.pending.emplace(i, s);
-      while (!st.pending.empty() &&
-             st.pending.begin()->first == st.next_commit) {
-        const ScenarioSummary& head = st.pending.begin()->second;
-        st.agg.add(head);
-        if (st.parts.is_open()) {
-          st.parts_buf.clear();
-          put_summary(st.parts_buf, head);
-          st.parts.write(st.parts_buf.data(),
-                         static_cast<std::streamsize>(st.parts_buf.size()));
-        }
-        if (options.on_summary) options.on_summary(head);
-        st.pending.erase(st.pending.begin());
-        ++st.next_commit;
-        if (!options.checkpoint_path.empty() && options.checkpoint_every &&
-            (st.next_commit - first) % options.checkpoint_every == 0 &&
-            st.next_commit != end) {
-          try {
+      if (!st.io_error) st.pending.emplace(i, s);
+      // Commit every summary that is next in index order. A failed commit
+      // (part file, callback, checkpoint) ends the run.
+      try {
+        while (!st.io_error && !st.pending.empty() &&
+               st.pending.begin()->first == st.next_commit) {
+          const ScenarioSummary& head = st.pending.begin()->second;
+          st.agg.add(head);
+          if (st.parts.is_open()) {
+            st.parts_buf.clear();
+            put_summary(st.parts_buf, head);
+            st.parts.write(st.parts_buf.data(),
+                           static_cast<std::streamsize>(st.parts_buf.size()));
+          }
+          if (options.on_summary) options.on_summary(head);
+          st.pending.erase(st.pending.begin());
+          ++st.next_commit;
+          if (!options.checkpoint_path.empty() && options.checkpoint_every &&
+              (st.next_commit - first) % options.checkpoint_every == 0 &&
+              st.next_commit != end) {
             checkpoint_now(st.next_commit);
-          } catch (...) {
-            st.io_error = std::current_exception();
           }
         }
+      } catch (...) {
+        st.io_error = std::current_exception();
       }
       // Wake workers parked on the reorder-depth backpressure: the commit
-      // frontier moved (or an I/O error ended the run).
-      if (st.depth != 0) st.cv.notify_all();
-    }
+      // frontier moved, or the run ended.
+      if (depth != 0 || st.io_error) st.cv.notify_all();
+      return !st.io_error;
+    };
   };
 
   std::vector<std::string> notes;
-  std::size_t threads = options.threads != 0
-                            ? options.threads
-                            : std::max(1u, std::thread::hardware_concurrency());
-  if (options.profile.concurrency != 0 &&
-      threads > options.profile.concurrency) {
-    // Semantics-preserving: results are thread-count-invariant, so clamping
-    // is a capacity decision, not a rejection — surfaced as a note.
-    notes.push_back("[envelope.concurrency.capped] " + std::to_string(threads) +
-                    " workers capped at " +
-                    std::to_string(options.profile.concurrency) +
-                    " by profile '" + options.profile.name + "'");
-    threads = options.profile.concurrency;
-  }
-  if (st.limit > st.next_commit) {
-    threads = std::min<std::uint64_t>(threads, st.limit - st.next_commit);
-  } else {
-    threads = 1;
-  }
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
+  parallel_claim(st.next_commit, limit,
+                 resolve_workers(options.threads, options.profile, &notes),
+                 make_worker);
   if (st.io_error) std::rethrow_exception(st.io_error);
 
   if (st.parts.is_open()) {

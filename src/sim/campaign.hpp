@@ -36,6 +36,7 @@
 #include "intern/fnv.hpp"
 #include "sim/backend.hpp"
 #include "sim/compiled.hpp"
+#include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
 
 namespace tut::sim {
@@ -76,33 +77,6 @@ class P2Quantile {
   double n_[5] = {0, 0, 0, 0, 0};   ///< marker positions (exact integers)
   double np_[5] = {0, 0, 0, 0, 0};  ///< desired positions
   double dn_[5] = {0, 0, 0, 0, 0};  ///< desired-position increments
-};
-
-/// What one scenario leaves behind: a canonical log digest plus the summary
-/// numbers the campaign aggregates. Fixed 96-byte layout in shard part
-/// files. `error != 0` marks a failed run (defective plan, diverging EFSM);
-/// its other fields are zero.
-struct ScenarioSummary {
-  std::uint64_t index = 0;
-  std::uint64_t digest = 0;
-  std::uint64_t events = 0;   ///< kernel events dispatched
-  std::uint64_t records = 0;  ///< log records
-  Time makespan = 0;          ///< time of the last log record
-  std::uint64_t drops = 0;    ///< Drop records
-  std::uint64_t retries = 0;  ///< Retry records
-  Time seg_wait = 0;          ///< total segment grant-queue waiting
-  std::uint64_t seg_grants = 0;
-  std::uint64_t error = 0;
-  /// Compile-backend provenance: the BackendImage content hash that ran the
-  /// scenario, 0 for the bytecode interpreter. Excluded from the campaign
-  /// digest by design — a backend swap must leave digests untouched, and
-  /// this field is how an A/B run proves which backend produced them.
-  std::uint64_t backend = 0;
-  /// RejectionCode as one word: non-zero iff the scenario died on a resource
-  /// envelope ([envelope.*], a classified rejection) rather than a model
-  /// defect. Like `backend`, excluded from the campaign digest — the
-  /// deterministic EnvelopeError message already hashes into `error`.
-  std::uint64_t rejection = 0;
 };
 
 /// Canonical FNV-1a digest of a simulation log: SimulationLog::digest(),
@@ -268,7 +242,7 @@ struct CampaignOptions {
   std::uint64_t checkpoint_every = 1024;
   bool resume = false;
   /// When non-empty, every in-order summary is appended to this shard part
-  /// file (88 bytes per scenario) for a later merge_campaign_parts().
+  /// file (96 bytes per scenario) for a later merge_campaign_parts().
   std::string samples_path;
   /// Test hook: stop claiming once the in-order prefix reaches this many
   /// completions (simulates a kill). 0 = run to the end of the shard.

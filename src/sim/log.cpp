@@ -122,6 +122,7 @@ void SimulationLog::spill_resident(Time at) {
   std::ofstream os(spill_path_, spilled_ == 0
                                     ? std::ios::binary | std::ios::trunc
                                     : std::ios::binary | std::ios::app);
+  if (os && !spill_file_) spill_file_.reset(new std::string(spill_path_));
   if (!os ||
       !os.write(reinterpret_cast<const char*>(compact_.data()),
                 static_cast<std::streamsize>(compact_.size() *
@@ -140,12 +141,15 @@ void SimulationLog::set_envelope(std::uint64_t capacity,
   spill_path_ = std::move(spill_path);
 }
 
+void SimulationLog::RemoveSpill::operator()(std::string* path) const noexcept {
+  std::error_code ec;
+  std::filesystem::remove(*path, ec);
+  delete path;
+}
+
 void SimulationLog::clear() {
   compact_.clear();
-  if (spilled_ != 0 && !spill_path_.empty()) {
-    std::error_code ec;
-    std::filesystem::remove(spill_path_, ec);  // best effort
-  }
+  spill_file_.reset();
   spilled_ = 0;
   drops_ = 0;
   retries_ = 0;

@@ -131,7 +131,8 @@ class SimulationLog {
   /// Logical record count: spilled + resident.
   std::size_t size() const noexcept { return spilled_ + compact_.size(); }
   /// Drops every record and counter; removes the spill file if one was
-  /// written (a reset run must start from a genuinely empty log).
+  /// written (a reset run must start from a genuinely empty log). A dying
+  /// log removes it too: the spill is a memory device, not an output.
   void clear();
   /// Reserves capacity for `n` records (e.g. from the injected-event count).
   void reserve(std::size_t n);
@@ -185,6 +186,10 @@ class SimulationLog {
   void append(const LogRecord& r);
   /// Writes the resident records to the spill file and frees them.
   void spill_resident(Time at);
+  /// spill_file_'s deleter: removes the file (best effort), frees the path.
+  struct RemoveSpill {
+    void operator()(std::string* path) const noexcept;
+  };
   /// for_each's cursor: the spilled records in bounded chunks, read out of
   /// line, then the resident records, then an empty run.
   class Walk {
@@ -221,6 +226,9 @@ class SimulationLog {
   intern::Table names_;
   std::uint64_t capacity_ = 0;   ///< resident-record ceiling; 0 = unbounded
   std::string spill_path_;       ///< empty: overflow throws instead
+  /// The spill file, owned once written. Move-only, so the log keeps its
+  /// implicit moves and a moved-from log leaves the file to its new owner.
+  std::unique_ptr<std::string, RemoveSpill> spill_file_;
   std::uint64_t spilled_ = 0;    ///< records already flushed to spill_path_
   std::uint64_t drops_ = 0;      ///< Drop records appended (incl. spilled)
   std::uint64_t retries_ = 0;    ///< Retry records appended (incl. spilled)

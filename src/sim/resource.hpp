@@ -98,7 +98,7 @@ struct ResourceProfile {
   /// ([envelope.log.overflow]) instead of retaining it.
   std::uint64_t keep_log_bytes = 0;
   /// Batch/campaign worker-thread ceiling. Clamping is semantics-preserving
-  /// (results are thread-count-invariant); the campaign surfaces the clamp
+  /// (results are thread-count-invariant); both runners surface the clamp
   /// as an [envelope.concurrency.capped] note.
   std::uint64_t concurrency = 0;
   /// Campaign reorder-buffer depth: workers stop claiming more than this

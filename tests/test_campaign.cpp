@@ -5,15 +5,19 @@
 // counts, shard splits and kill/resume.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/batch.hpp"
 #include "sim/campaign.hpp"
 #include "sim/compiled.hpp"
+#include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "tutmac/tutmac.hpp"
 
@@ -658,4 +662,77 @@ TEST(Campaign, LogDigestIsNameBasedNotInternIdBased) {
   b.run_id(10, b.intern_name("p1"), 5, 3);
   EXPECT_EQ(log_digest(a), log_digest(b));
   EXPECT_EQ(log_digest(a), BatchRunner::hash_text(a.to_text()));
+}
+
+// ---------------------------------------------------------------------------
+// parallel_claim: the one pool behind batches, campaigns and exploration
+// ---------------------------------------------------------------------------
+
+TEST(ParallelClaim, EveryIndexRunsExactlyOnceAtAnyWorkerCount) {
+  constexpr std::uint64_t kFirst = 3;
+  constexpr std::uint64_t kEnd = 1003;
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+    std::vector<std::atomic<int>> runs(kEnd);
+    std::atomic<std::size_t> made{0};
+    parallel_claim(kFirst, kEnd, workers, [&] {
+      made.fetch_add(1);
+      return [&](std::uint64_t i) {
+        runs[i].fetch_add(1);
+        return true;
+      };
+    });
+    for (std::uint64_t i = 0; i < kEnd; ++i) {
+      EXPECT_EQ(runs[i].load(), i < kFirst ? 0 : 1)
+          << "index " << i << " at " << workers << " workers";
+    }
+    EXPECT_EQ(made.load(), workers) << "one worker state per worker";
+  }
+  // An empty range runs no index and builds no worker state.
+  int made_empty = 0;
+  parallel_claim(5, 5, 4, [&] {
+    ++made_empty;
+    return [](std::uint64_t) { return true; };
+  });
+  EXPECT_EQ(made_empty, 0);
+}
+
+TEST(ParallelClaim, EarlyStopStopsClaiming) {
+  // One worker: exactly the indices up to the stopping one ran.
+  std::vector<std::uint64_t> order;
+  parallel_claim(0, 100, 1, [&] {
+    return [&](std::uint64_t i) {
+      order.push_back(i);
+      return i != 10;
+    };
+  });
+  ASSERT_EQ(order.size(), 11u);
+  for (std::uint64_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+
+  // Four workers: the other workers finish the claim they hold and stop,
+  // long before the 400 slow indices would have run.
+  std::atomic<std::uint64_t> ran{0};
+  parallel_claim(0, 400, 4, [&] {
+    return [&](std::uint64_t i) {
+      ran.fetch_add(1);
+      if (i == 2) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      return true;
+    };
+  });
+  EXPECT_LT(ran.load(), 400u);
+}
+
+TEST(ParallelClaim, ClampNoteOnlyWhenThePoolClamps) {
+  const ResourceProfile profile = ResourceProfile::constrained();  // 2
+  std::vector<std::string> notes;
+  EXPECT_EQ(resolve_workers(8, profile, &notes), 2u);
+  ASSERT_EQ(notes.size(), 1u);
+  EXPECT_EQ(notes[0],
+            "[envelope.concurrency.capped] 8 workers capped at 2 by profile "
+            "'constrained'");
+  notes.clear();
+  EXPECT_EQ(resolve_workers(2, profile, &notes), 2u);
+  EXPECT_EQ(resolve_workers(8, ResourceProfile{}, &notes), 8u);
+  EXPECT_TRUE(notes.empty());
+  EXPECT_GE(resolve_workers(0, ResourceProfile{}), 1u);
 }

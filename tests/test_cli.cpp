@@ -286,9 +286,21 @@ TEST(CliSimulate, SpilledDegradedRunReportsLikeUnbounded) {
       run_cli("simulate tutmac " + (dir / "spilled").string() + args +
               " --profile=" + profile.string());
   ASSERT_EQ(plain.exit_code, 0) << plain.output;
+  // The run completed under a 16-record cap that rejects it without the
+  // spill path, so it spilled. The spill is a memory device, not an output:
+  // the log removed it when it died.
   ASSERT_EQ(spilled.exit_code, 0) << spilled.output;
-  ASSERT_TRUE(fs::exists(spill));
-  EXPECT_GT(fs::file_size(spill), 0u);
+  EXPECT_FALSE(fs::exists(spill)) << "tut simulate left its spill file";
+  const fs::path no_spill = dir / "no_spill.xml";
+  std::ofstream(no_spill) << "<tut:profile class=\"custom\"><cap "
+                             "name=\"logRecords\" value=\"16\"/>"
+                             "</tut:profile>\n";
+  const CliResult rejected =
+      run_cli("simulate tutmac " + (dir / "rejected").string() + args +
+              " --profile=" + no_spill.string());
+  EXPECT_NE(rejected.exit_code, 0) << rejected.output;
+  EXPECT_NE(rejected.output.find("[envelope.log.overflow]"), std::string::npos)
+      << rejected.output;
 
   const auto report = [](const std::string& output) {
     const std::size_t at = output.find("(c) Reliability");
@@ -305,6 +317,30 @@ TEST(CliSimulate, SpilledDegradedRunReportsLikeUnbounded) {
   const std::string log = read(dir / "plain" / "sim.log");
   EXPECT_GT(log.size(), 100u);
   EXPECT_EQ(read(dir / "spilled" / "sim.log"), log);
+  fs::remove_all(dir);
+}
+
+TEST(CliSimulate, BatchConcurrencyClampIsNotedLikeACampaign) {
+  // A batch clamped by its profile says so on a "note:" line, exactly as
+  // `tut campaign` prints its envelope notes; an unclamped batch prints none.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("tut_cli_batch_note_" + std::to_string(getpid()));
+  const std::string note =
+      "note: [envelope.concurrency.capped] 8 workers capped at 2 by profile "
+      "'constrained'\n";
+  const CliResult capped =
+      run_cli("simulate tutmac " + dir.string() +
+              " 5 --batch 4 --threads 8 --profile=constrained");
+  ASSERT_EQ(capped.exit_code, 0) << capped.output;
+  EXPECT_NE(capped.output.find(note + "batch of 4 scenarios over 2 thread(s)"),
+            std::string::npos)
+      << capped.output;
+  EXPECT_NE(capped.output.find("determinism check: ok"), std::string::npos);
+  const CliResult within =
+      run_cli("simulate tutmac " + dir.string() +
+              " 5 --batch 4 --threads 2 --profile=constrained");
+  ASSERT_EQ(within.exit_code, 0) << within.output;
+  EXPECT_EQ(within.output.find("note:"), std::string::npos) << within.output;
   fs::remove_all(dir);
 }
 

@@ -11,10 +11,12 @@
 
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "codegen/native.hpp"
+#include "intern/fnv.hpp"
 #include "log_records.hpp"
 #include "sim/batch.hpp"
 #include "sim/campaign.hpp"
@@ -262,6 +264,32 @@ TEST(LogEnvelope, SpillToDiskKeepsTextByteIdenticalAndCountersExact) {
   EXPECT_EQ(ring.drop_count(), 0u);
 }
 
+TEST(LogEnvelope, SpillFileLivesAsLongAsItsLog) {
+  const std::string spill = temp_path("tut_log_owner.spill");
+  std::filesystem::remove(spill);
+  std::string text;
+  {
+    std::optional<SimulationLog> moved;
+    {
+      SimulationLog ring;
+      ring.set_envelope(8, spill);
+      const intern::Id proc = ring.intern_name("proc");
+      for (int i = 0; i < 100; ++i) {
+        ring.run_id(static_cast<Time>(10 * i), proc, i, 3);
+      }
+      ASSERT_GT(ring.spilled(), 0u);
+      ASSERT_TRUE(std::filesystem::exists(spill));
+      text = ring.to_text();
+      moved.emplace(std::move(ring));
+    }
+    // The moved-from log died; the file belongs to the moved-to one.
+    EXPECT_TRUE(std::filesystem::exists(spill));
+    EXPECT_EQ(moved->to_text(), text);
+  }
+  EXPECT_FALSE(std::filesystem::exists(spill))
+      << "a log must remove its spill file when it dies";
+}
+
 TEST(LogEnvelope, FullSimulationUnderSpillIsByteIdentical) {
   const std::string spill = temp_path("tut_sim_envelope.spill");
   std::filesystem::remove(spill);
@@ -413,6 +441,7 @@ TEST(BatchEnvelope, KeepLogBudgetRejectsClassifiedWithoutPoisoningOthers) {
   EXPECT_NE(results[1].error.find("[envelope.log.overflow]"),
             std::string::npos)
       << results[1].error;
+  EXPECT_EQ(results[1].rejection, RejectionCode::Log);
   EXPECT_EQ(results[1].log_text, "");  // no partial retention
   EXPECT_EQ(results[2].error, "");
   EXPECT_EQ(results[2].log_hash, plain[2].log_hash);
@@ -423,6 +452,24 @@ TEST(BatchEnvelope, ConcurrencyCapClampsWorkers) {
   options.threads = 8;
   options.profile.concurrency = 2;
   EXPECT_EQ(BatchRunner(shared_image(), options).threads(), 2u);
+
+  // The clamp is noted exactly as a campaign notes it; no clamp, no note.
+  options.profile = ResourceProfile::constrained();  // concurrency = 2
+  const BatchRunner runner(shared_image(), options);
+  CampaignOptions campaign;
+  campaign.threads = 8;
+  campaign.profile = options.profile;
+  const std::vector<std::string> notes =
+      CampaignRunner({shared_image()}, setup_scenario)
+          .run(small_spec(), campaign)
+          .notes;
+  ASSERT_EQ(runner.notes().size(), 1u);
+  EXPECT_NE(runner.notes()[0].find("[envelope.concurrency.capped]"),
+            std::string::npos)
+      << runner.notes()[0];
+  EXPECT_EQ(runner.notes(), notes);
+  options.threads = 2;
+  EXPECT_TRUE(BatchRunner(shared_image(), options).notes().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -593,6 +640,45 @@ TEST(CampaignEnvelope, RejectionIsCountedClassifiedAndIsolated) {
               result.aggregate.serialize())
         << threads << " threads";
   }
+}
+
+TEST(Resource, BatchAndCampaignClassifyEnvelopeMissAlike) {
+  // One long-horizon TUTMAC scenario under a log cap it overflows, run once
+  // as a batch and once as a campaign: both classify the miss the same way.
+  const CampaignSpec spec = split_spec();
+  const auto [small, large] = split_record_counts();
+  ResourceProfile profile;
+  profile.log_records = (small + large) / 2;
+
+  const Scenario sc = spec.scenario(1);  // long horizon
+  std::vector<BatchScenario> batch(1);
+  batch[0].name = "long";
+  batch[0].config = sc.config;
+  batch[0].setup = [&sc](Simulation& sim) { setup_scenario(sim, sc); };
+  BatchOptions batch_options;
+  batch_options.threads = 1;
+  batch_options.profile = profile;
+  const BatchResult row =
+      BatchRunner(shared_image(), batch_options).run(batch).at(0);
+
+  CampaignOptions options;
+  options.profile = profile;
+  std::optional<ScenarioSummary> summary;
+  options.on_summary = [&](const ScenarioSummary& s) {
+    if (s.index == 1) summary = s;
+  };
+  CampaignRunner({shared_image()}, setup_scenario).run(spec, options);
+  ASSERT_TRUE(summary.has_value());
+
+  EXPECT_NE(row.error.find("[envelope.log.overflow]"), std::string::npos)
+      << row.error;
+  EXPECT_EQ(row.rejection, RejectionCode::Log);
+  EXPECT_EQ(static_cast<std::uint64_t>(row.rejection), summary->rejection);
+  intern::Fnv error_hash;
+  error_hash.str(row.error);
+  EXPECT_EQ(error_hash.h, summary->error);
+  EXPECT_EQ(row.events, 0u);
+  EXPECT_EQ(summary->events, 0u);
 }
 
 TEST(CampaignEnvelope, RejectionsMatchAcrossBackends) {

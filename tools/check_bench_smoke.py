@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Bench smoke check for the compiled simulation core.
 
-Reads a Google Benchmark JSON report (bench_kernel_micro run with
---benchmark_format=json; a leading text banner is tolerated) and compares it
-against the medians checked into BENCH_sim.json:
+Reads Google Benchmark JSON reports (e.g. bench_kernel_micro run with
+--benchmark_format=json; a leading text banner is tolerated) and compares
+their medians together against the medians checked into BENCH_sim.json:
 
   * every benchmark listed under "smoke_medians" must be present and at most
     --tolerance (default 25%) slower than its checked-in median; an entry may
@@ -59,7 +59,8 @@ def medians_ns(report):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("report", help="benchmark JSON output")
+    ap.add_argument("report", nargs="+",
+                    help="benchmark JSON output(s), e.g. one per invocation")
     ap.add_argument("--baseline", default="BENCH_sim.json")
     ap.add_argument("--tolerance", type=float, default=0.25,
                     help="allowed fractional slowdown vs checked-in medians")
@@ -84,15 +85,17 @@ def main():
               f"{type(baseline).__name__}", file=sys.stderr)
         return 2
 
+    measured = {}
     try:
-        measured = medians_ns(load_report(args.report))
+        for report in args.report:
+            measured.update(medians_ns(load_report(report)))
     except OSError as e:
         print(f"check_bench_smoke: [bench.report.missing] cannot read "
-              f"report '{args.report}': {e}", file=sys.stderr)
+              f"report '{report}': {e}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, TypeError) as e:
         print(f"check_bench_smoke: [bench.report.malformed] "
-              f"'{args.report}' is not a benchmark JSON report: {e}",
+              f"'{report}' is not a benchmark JSON report: {e}",
               file=sys.stderr)
         return 2
 

@@ -94,6 +94,7 @@
 #include "codegen/native.hpp"
 #include "diagram/diagram.hpp"
 #include "efsm/program.hpp"
+#include "intern/fnv.hpp"
 #include "profile/tut_profile.hpp"
 #include "profiler/profiler.hpp"
 #include "serve/protocol.hpp"
@@ -565,6 +566,9 @@ int cmd_simulate_tutmac(const std::string& outdir, long horizon_ms,
     const sim::BatchRunner runner(image, options);
     const auto results = runner.run(scenarios);
 
+    for (const std::string& note : runner.notes()) {
+      std::cout << "note: " << note << '\n';
+    }
     std::cout << "batch of " << batch << " scenarios over "
               << runner.threads() << " thread(s)\n";
     // Provenance row: which executor produced these hashes (BatchResult
@@ -596,7 +600,7 @@ int cmd_simulate_tutmac(const std::string& outdir, long horizon_ms,
       sys.inject_workload(*simulation);
       simulation->run();
       log_text = simulation->log().to_text();
-      const auto check_hash = sim::BatchRunner::hash_text(log_text);
+      const auto check_hash = intern::Fnv::of(log_text);
       std::cout << "determinism check: "
                 << (check_hash == results[0].log_hash ? "ok" : "MISMATCH")
                 << '\n';
